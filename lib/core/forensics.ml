@@ -73,7 +73,7 @@ let chain_of obs ~birth_span =
       | None -> acc
       | Some s -> up (link_of_span s :: acc) (guard - 1) s.Obs.Trace.sp_parent
   in
-  up [] (List.length (Obs.Trace.spans obs) + 1) birth_span
+  up [] (Obs.Trace.span_count obs + 1) birth_span
 
 let span_name obs id =
   match Obs.Trace.span_of_id obs id with
@@ -114,24 +114,41 @@ let node_of_record obs (r : Obs.record) =
     mk "exposure_breach" ~pid ~addr ~len ~origin:(Obs.origin_name origin) ()
   | _ -> None
 
+(* The seqs of [trace]'s [Copy_created] records that a later
+   [Copy_zeroed] overlaps.  One newest-first pass over the ring: the
+   zeroing ranges seen so far (all later than the current record) are
+   bucketed by 4 KiB page, so each copy checks only the pages it spans. *)
+let zeroed_later ~trace records =
+  let page = 4096 in
+  let zeroes = Hashtbl.create 64 and zeroed = Hashtbl.create 16 in
+  List.iter
+    (fun (r : Obs.record) ->
+      match r.Obs.event with
+      | Obs.Copy_zeroed { addr; len; _ } when len > 0 ->
+        for p = addr / page to (addr + len - 1) / page do
+          Hashtbl.add zeroes p (addr, len)
+        done
+      | Obs.Copy_created { addr; len; _ } when r.Obs.trace = trace && len > 0 ->
+        let hit = ref false in
+        for p = addr / page to (addr + len - 1) / page do
+          if (not !hit)
+             && List.exists
+                  (fun (a, l) -> a < addr + len && addr < a + l)
+                  (Hashtbl.find_all zeroes p)
+          then hit := true
+        done;
+        if !hit then Hashtbl.replace zeroed r.Obs.seq ()
+      | _ -> ())
+    (List.rev records);
+  zeroed
+
 (* zeroed-or-still-live: did a later zeroing event cover the copy, and if
    not, does a same-trace provenance interval still cover its address? *)
-let judge obs ~trace records (n : fan_node) =
+let judge obs ~trace zeroed (n : fan_node) =
   if n.fn_kind <> "copy_created" then { n with fn_verdict = None }
   else
-    let zeroed =
-      List.exists
-        (fun (r : Obs.record) ->
-          r.Obs.seq > n.fn_seq
-          &&
-          match r.Obs.event with
-          | Obs.Copy_zeroed { addr; len; _ } ->
-            addr < n.fn_addr + n.fn_len && n.fn_addr < addr + len
-          | _ -> false)
-        records
-    in
     let verdict =
-      if zeroed then Zeroed
+      if Hashtbl.mem zeroed n.fn_seq then Zeroed
       else
         match Obs.Provenance.lookup obs ~addr:n.fn_addr with
         | Some info when info.Obs.Provenance.birth_trace = trace -> Still_live
@@ -181,7 +198,7 @@ let of_addr obs ~tick ~label ~addr =
       List.filter_map
         (fun (r : Obs.record) -> if r.Obs.trace = trace then node_of_record obs r else None)
         records
-      |> List.map (judge obs ~trace records)
+      |> List.map (judge obs ~trace (zeroed_later ~trace records))
   in
   let live =
     if trace = 0 then []

@@ -95,7 +95,9 @@ type info = {
   birth_span : int;
 }
 
-type interval = { start : int; ilen : int; info : info }
+(* [stamp] orders intervals by insertion, newest highest; the pieces a
+   partial clear splits off one interval keep its stamp *)
+type interval = { start : int; ilen : int; info : info; stamp : int }
 
 (* ---- causal trace spans (see Trace below) ---- *)
 
@@ -243,11 +245,17 @@ type ctx = {
   mutable tick_ : int;
   counters : (string, int ref) Hashtbl.t;
   histograms : (string, float list ref) Hashtbl.t;
-  mutable intervals : interval list;
+  (* provenance index: [buckets.(pfn)] lists every interval touching
+     frame [pfn] of width [class_gran], so a frame-crossing interval sits
+     in each bucket it touches; [live] counts distinct intervals *)
+  mutable buckets : interval list array;
+  mutable live : int;
+  mutable next_stamp : int;
   stashes : (int, (int * int * info) list) Hashtbl.t;
   (* exposure ledger *)
   mutable classifier : (addr:int -> mem_class) option;
-  mutable class_gran : int;  (* frame size: classification granularity *)
+  mutable class_gran : int;
+      (* frame size: classification granularity and provenance bucket width *)
   mutable class_epoch_fn : (unit -> int) option;
   mutable frame_gen_fn : (pfn:int -> int) option;
   mutable prov_epoch : int;  (* bumped on any interval/stash change *)
@@ -285,7 +293,12 @@ type ctx = {
   mutable trace_next_ : int;  (* next trace id; 0 means "untraced" *)
   mutable span_next_ : int;  (* next causal span id; 0 means "no span" *)
   mutable tstack_ : tspan list;  (* open causal spans, innermost first *)
-  mutable tspans_ : tspan list;  (* completed causal spans, newest first *)
+  mutable span_tbl_ : tspan array;
+      (* every span minted so far, open or closed: span id [i] lives at
+         index [i - 1], so id lookups and id-order listings are O(1) per
+         span; grown by doubling *)
+  trace_root_ : (int, tspan) Hashtbl.t;
+      (* trace -> its root: the first span minted with parent 0 *)
   trace_cycles_ : (int, int ref) Hashtbl.t;  (* trace -> cycles charged *)
   trace_leak_ : (int, int ref) Hashtbl.t;
       (* trace -> sensitive byte-ticks outside mlocked-anon (the
@@ -327,7 +340,9 @@ let make ~enabled ~capacity =
     tick_ = 0;
     counters = Hashtbl.create 32;
     histograms = Hashtbl.create 8;
-    intervals = [];
+    buckets = [||];
+    live = 0;
+    next_stamp = 0;
     stashes = Hashtbl.create 8;
     classifier = None;
     class_gran = 4096;
@@ -359,7 +374,8 @@ let make ~enabled ~capacity =
     trace_next_ = 1;
     span_next_ = 1;
     tstack_ = [];
-    tspans_ = [];
+    span_tbl_ = [||];
+    trace_root_ = Hashtbl.create 16;
     trace_cycles_ = Hashtbl.create 16;
     trace_leak_ = Hashtbl.create 16
   }
@@ -409,7 +425,7 @@ module Trace = struct
       in
       let span = ctx.span_next_ in
       ctx.span_next_ <- span + 1;
-      ctx.tstack_ <-
+      let s =
         { ts_trace = trace_id;
           ts_span = span;
           ts_parent = parent_span;
@@ -420,7 +436,17 @@ module Trace = struct
           ts_end_tick = -1;
           ts_end_cycles = -1
         }
-        :: ctx.tstack_;
+      in
+      let n = Array.length ctx.span_tbl_ in
+      if span > n then begin
+        let tbl = Array.make (max 64 (2 * n)) s in
+        Array.blit ctx.span_tbl_ 0 tbl 0 n;
+        ctx.span_tbl_ <- tbl
+      end;
+      ctx.span_tbl_.(span - 1) <- s;
+      if parent_span = 0 && not (Hashtbl.mem ctx.trace_root_ trace_id) then
+        Hashtbl.replace ctx.trace_root_ trace_id s;
+      ctx.tstack_ <- s :: ctx.tstack_;
       span
     end
 
@@ -435,7 +461,6 @@ module Trace = struct
         | s :: rest ->
           s.ts_end_tick <- ctx.tick_;
           s.ts_end_cycles <- ctx.cycles_;
-          ctx.tspans_ <- s :: ctx.tspans_;
           if s.ts_span = span then rest else pop rest
       in
       ctx.tstack_ <- pop ctx.tstack_
@@ -467,28 +492,31 @@ module Trace = struct
     sp_end_cycles : int;
   }
 
-  (* all causal spans, id order; still-open spans export with the current
-     clock as their end so a mid-run export renders them *)
-  let spans ctx =
-    let conv (s : tspan) =
-      { sp_trace = s.ts_trace;
-        sp_id = s.ts_span;
-        sp_parent = s.ts_parent;
-        sp_name = s.ts_name;
-        sp_pid = s.ts_pid;
-        sp_start_tick = s.ts_start_tick;
-        sp_end_tick = (if s.ts_end_tick < 0 then ctx.tick_ else s.ts_end_tick);
-        sp_start_cycles = s.ts_start_cycles;
-        sp_end_cycles = (if s.ts_end_cycles < 0 then ctx.cycles_ else s.ts_end_cycles)
-      }
-    in
-    List.map conv (ctx.tstack_ @ ctx.tspans_)
-    |> List.sort (fun a b -> compare a.sp_id b.sp_id)
+  (* still-open spans export with the current clock as their end so a
+     mid-run export renders them *)
+  let info_of ctx (s : tspan) =
+    { sp_trace = s.ts_trace;
+      sp_id = s.ts_span;
+      sp_parent = s.ts_parent;
+      sp_name = s.ts_name;
+      sp_pid = s.ts_pid;
+      sp_start_tick = s.ts_start_tick;
+      sp_end_tick = (if s.ts_end_tick < 0 then ctx.tick_ else s.ts_end_tick);
+      sp_start_cycles = s.ts_start_cycles;
+      sp_end_cycles = (if s.ts_end_cycles < 0 then ctx.cycles_ else s.ts_end_cycles)
+    }
+
+  let span_count ctx = ctx.span_next_ - 1
+
+  (* all causal spans, id order *)
+  let spans ctx = List.init (span_count ctx) (fun i -> info_of ctx ctx.span_tbl_.(i))
 
   let root_of_trace ctx trace =
-    List.find_opt (fun s -> s.sp_trace = trace && s.sp_parent = 0) (spans ctx)
+    Option.map (info_of ctx) (Hashtbl.find_opt ctx.trace_root_ trace)
 
-  let span_of_id ctx id = List.find_opt (fun s -> s.sp_id = id) (spans ctx)
+  let span_of_id ctx id =
+    if id >= 1 && id <= span_count ctx then Some (info_of ctx ctx.span_tbl_.(id - 1))
+    else None
 
   let trace_cycles ctx =
     Hashtbl.fold (fun t r acc -> (t, !r) :: acc) ctx.trace_cycles_ []
@@ -896,65 +924,129 @@ module Provenance = struct
     | Some r -> r := age :: !r
     | None -> Hashtbl.replace ctx.lifetimes_ info.origin (ref [ age ])
 
+  (* ---- the per-frame bucket index ----
+
+     Order contract: the registry behaves as one list, newest first, in
+     which a partial clear replaces an interval in place by its left then
+     right remainder.  The index reproduces that order from stamps:
+     [clear] and [overlaps] visit the intervals they hit newest stamp
+     first, the pieces of one stamp in address order.  Lifetimes, stash
+     entries, blit clones and (through [Exposure.advance]) breach
+     emission come out in that order.  Every operation touches only the
+     buckets of the frames its range covers. *)
+
+  let by_precedence a b =
+    if a.stamp <> b.stamp then Int.compare b.stamp a.stamp else Int.compare a.start b.start
+
+  let add ctx iv =
+    if iv.start < 0 then invalid_arg "Obs.Provenance: negative physical address";
+    let g = ctx.class_gran in
+    let lo = iv.start / g and hi = (iv.start + iv.ilen - 1) / g in
+    let n = Array.length ctx.buckets in
+    if hi >= n then begin
+      let b = Array.make (max (hi + 1) (2 * n)) [] in
+      Array.blit ctx.buckets 0 b 0 n;
+      ctx.buckets <- b
+    end;
+    for p = lo to hi do
+      ctx.buckets.(p) <- iv :: ctx.buckets.(p)
+    done;
+    ctx.live <- ctx.live + 1
+
+  let remove ctx iv =
+    let g = ctx.class_gran in
+    for p = iv.start / g to (iv.start + iv.ilen - 1) / g do
+      ctx.buckets.(p) <- List.filter (fun x -> x != iv) ctx.buckets.(p)
+    done;
+    ctx.live <- ctx.live - 1
+
+  (* insert a batch; its head comes out newest *)
+  let add_batch ctx entries =
+    let n = List.length entries in
+    let base = ctx.next_stamp in
+    ctx.next_stamp <- base + n;
+    List.iteri
+      (fun i (start, ilen, info) -> add ctx { start; ilen; info; stamp = base + n - 1 - i })
+      entries
+
+  (* the intervals of bucket [p] that overlap [\[addr, e)] and whose first
+     frame inside the range is [p] — each interval is taken once *)
+  let rec gather g lo p addr e acc = function
+    | [] -> acc
+    | iv :: rest ->
+      let acc =
+        if iv.start < e && iv.start + iv.ilen > addr && max lo (iv.start / g) = p then
+          iv :: acc
+        else acc
+      in
+      gather g lo p addr e acc rest
+
+  (* every interval overlapping [\[addr, e)], in precedence order; no
+     allocation when nothing overlaps, the common case *)
+  let hits ctx ~addr ~e =
+    let g = ctx.class_gran in
+    let lo = if addr < 0 then 0 else addr / g in
+    let hi = if e <= 0 then -1 else min ((e - 1) / g) (Array.length ctx.buckets - 1) in
+    let acc = ref [] in
+    for p = lo to hi do
+      acc := gather g lo p addr e !acc ctx.buckets.(p)
+    done;
+    (* [List.sort] allocates its closures even for a list it returns as is *)
+    match !acc with ([] | [ _ ]) as l -> l | l -> List.sort by_precedence l
+
   let clear ctx ~addr ~len =
     if ctx.enabled_ && len > 0 then begin
       let e = addr + len in
-      (* fast path: most clears come from [Kernel.write_mem] over ranges
-         holding no key material — an allocation-free overlap test skips
-         the full list rebuild (and the memo invalidation) for them *)
-      if List.exists (fun iv -> iv.start < e && iv.start + iv.ilen > addr) ctx.intervals
-      then begin
-        ctx.intervals <-
-          List.concat_map
-            (fun iv ->
-              let s = iv.start and ie = iv.start + iv.ilen in
-              if ie <= addr || s >= e then [ iv ]
-              else begin
-                record_lifetime ctx iv.info;
-                (if s < addr then [ { iv with ilen = addr - s } ] else [])
-                @ (if ie > e then [ { start = e; ilen = ie - e; info = iv.info } ] else [])
-              end)
-            ctx.intervals;
+      match hits ctx ~addr ~e with
+      | [] ->
+        (* most clears come from [Kernel.write_mem] over ranges holding no
+           key material: no allocation and no memo invalidation for them *)
+        ()
+      | hit ->
+        List.iter
+          (fun iv ->
+            record_lifetime ctx iv.info;
+            remove ctx iv;
+            let ie = iv.start + iv.ilen in
+            if iv.start < addr then add ctx { iv with ilen = addr - iv.start };
+            if ie > e then add ctx { iv with start = e; ilen = ie - e })
+          hit;
         ctx.prov_epoch <- ctx.prov_epoch + 1
-      end
     end
 
   let register ctx ~origin ~pid ~addr ~len =
     if ctx.enabled_ && len > 0 then begin
       clear ctx ~addr ~len;
-      ctx.intervals <-
-        { start = addr;
-          ilen = len;
-          info =
+      add_batch ctx
+        [ ( addr,
+            len,
             { origin;
               pid;
               birth_tick = ctx.tick_;
               birth_trace = Trace.current_trace ctx;
               birth_span = Trace.current_span ctx
-            }
-        }
-        :: ctx.intervals;
+            } ) ];
       ctx.prov_epoch <- ctx.prov_epoch + 1
     end
 
   let overlaps ctx ~addr ~len =
-    let e = addr + len in
-    List.filter_map
-      (fun iv ->
-        let s = max iv.start addr and ie = min (iv.start + iv.ilen) e in
-        if ie > s then Some (s - addr, ie - s, iv.info) else None)
-      ctx.intervals
+    if len <= 0 then []
+    else
+      let e = addr + len in
+      List.map
+        (fun iv ->
+          let s = max iv.start addr and ie = min (iv.start + iv.ilen) e in
+          (s - addr, ie - s, iv.info))
+        (hits ctx ~addr ~e)
 
   let blit ctx ~src ~dst ~len =
     if ctx.enabled_ && len > 0 then begin
       let clones =
-        List.map
-          (fun (off, l, info) -> { start = dst + off; ilen = l; info })
-          (overlaps ctx ~addr:src ~len)
+        List.map (fun (off, l, info) -> (dst + off, l, info)) (overlaps ctx ~addr:src ~len)
       in
       clear ctx ~addr:dst ~len;
       if clones <> [] then begin
-        ctx.intervals <- clones @ ctx.intervals;
+        add_batch ctx clones;
         ctx.prov_epoch <- ctx.prov_epoch + 1
       end
     end
@@ -970,23 +1062,52 @@ module Provenance = struct
       clear ctx ~addr ~len;
       (match Hashtbl.find_opt ctx.stashes slot with
        | Some entries ->
-         ctx.intervals <-
-           List.map (fun (off, l, info) -> { start = addr + off; ilen = l; info }) entries
-           @ ctx.intervals
+         add_batch ctx (List.map (fun (off, l, info) -> (addr + off, l, info)) entries)
        | None -> ());
       Hashtbl.remove ctx.stashes slot;
       ctx.prov_epoch <- ctx.prov_epoch + 1
     end
 
-  let lookup ctx ~addr =
-    List.find_opt (fun iv -> iv.start <= addr && addr < iv.start + iv.ilen) ctx.intervals
-    |> Option.map (fun iv -> iv.info)
+  (* the first interval of a bucket covering [addr], in precedence order *)
+  let rec first_covering addr acc = function
+    | [] -> acc
+    | iv :: rest ->
+      let covers = iv.start <= addr && addr < iv.start + iv.ilen in
+      let first = match acc with Some b -> by_precedence iv b < 0 | None -> true in
+      first_covering addr (if covers && first then Some iv else acc) rest
 
-  let count ctx = List.length ctx.intervals
+  let lookup ctx ~addr =
+    let g = ctx.class_gran in
+    if addr < 0 || addr / g >= Array.length ctx.buckets then None
+    else
+      match first_covering addr None ctx.buckets.(addr / g) with
+      | Some iv -> Some iv.info
+      | None -> None
+
+  let count ctx = ctx.live
+
+  (* each interval once, from the bucket of its first frame *)
+  let fold_live ctx f init =
+    let g = ctx.class_gran in
+    let acc = ref init in
+    Array.iteri
+      (fun p bucket ->
+        List.iter (fun iv -> if iv.start / g = p then acc := f iv !acc) bucket)
+      ctx.buckets;
+    !acc
 
   let intervals ctx =
-    List.map (fun iv -> (iv.start, iv.ilen, iv.info)) ctx.intervals
-    |> List.sort compare
+    fold_live ctx (fun iv acc -> (iv.start, iv.ilen, iv.info) :: acc) [] |> List.sort compare
+
+  (* re-bucket on a frame-size change; stamps, hence order, are kept *)
+  let set_frame_size ctx gran =
+    if gran <> ctx.class_gran then begin
+      let all = fold_live ctx List.cons [] in
+      ctx.buckets <- [||];
+      ctx.live <- 0;
+      ctx.class_gran <- gran;
+      List.iter (add ctx) all
+    end
 
   let stashed ctx =
     Hashtbl.fold (fun slot entries acc -> (slot, entries) :: acc) ctx.stashes []
@@ -1017,7 +1138,7 @@ module Exposure = struct
   let set_classifier ctx ~page_size ?epoch ?frame_gen f =
     if ctx.enabled_ then begin
       ctx.classifier <- Some f;
-      ctx.class_gran <- page_size;
+      Provenance.set_frame_size ctx page_size;
       ctx.class_epoch_fn <- epoch;
       ctx.frame_gen_fn <- frame_gen;
       ctx.memo_prov_epoch <- -1
@@ -1102,23 +1223,23 @@ module Exposure = struct
           (* provenance changed: rebuild the chunk list from scratch *)
           let chunks = ref [] in
           List.iter
-            (fun iv ->
-              let e = iv.start + iv.ilen in
-              let pos = ref iv.start in
+            (fun (start, ilen, info) ->
+              let e = start + ilen in
+              let pos = ref start in
               while !pos < e do
                 let next = min e (((!pos / gran) + 1) * gran) in
                 chunks :=
                   {
                     caddr = !pos;
                     clen = next - !pos;
-                    cinfo = iv.info;
+                    cinfo = info;
                     ccls = classify ~addr:!pos;
                     cgen = frame_gen (!pos / gran);
                   }
                   :: !chunks;
                 pos := next
               done)
-            (List.sort compare ctx.intervals);
+            (Provenance.intervals ctx);
           ctx.memo_chunks <- Array.of_list (List.rev !chunks);
           let st = ref [] in
           List.iter

@@ -194,10 +194,17 @@ module Trace : sig
   (** Every causal span, id order.  Still-open spans export with the
       current tick/cycle clock as their end. *)
 
+  val span_count : ctx -> int
+  (** Causal spans minted so far, open and closed — the length of
+      {!spans}, in O(1). *)
+
   val root_of_trace : ctx -> int -> span_info option
-  (** The root span of a trace — the originating request. *)
+  (** The root span of a trace — the originating request: the first span
+      minted with parent [0] in that trace.  O(1): the root is indexed
+      when it is minted. *)
 
   val span_of_id : ctx -> int -> span_info option
+  (** O(1): every minted span is indexed by id. *)
 
   val trace_cycles : ctx -> (int * int) list
   (** Simulated cycles charged while each trace was active, trace-id
@@ -307,7 +314,15 @@ end
     keyed by origin.  Creation sites {!register} the range; zeroing sites
     {!clear} it; COW duplication and swap round-trips {!blit} / {!stash} /
     {!restore} it.  A scanner hit is attributed by {!lookup} on its
-    physical address. *)
+    physical address.
+
+    The registry is indexed per physical frame (the classifier's page
+    size), so every operation costs time in the frames its range covers,
+    not in the number of live intervals.  Overlapping intervals are
+    visited newest first, and the pieces a partial clear leaves of one
+    interval in address order.  Addresses are physical, hence
+    non-negative: an interval placed below address 0 (by {!register},
+    {!blit} or {!restore}) raises [Invalid_argument]. *)
 module Provenance : sig
   type info = {
     origin : origin;
@@ -351,7 +366,7 @@ module Provenance : sig
   (** The interval containing physical [addr], if any. *)
 
   val count : ctx -> int
-  (** Live intervals (diagnostics). *)
+  (** Live intervals (diagnostics), in O(1). *)
 
   val intervals : ctx -> (int * int * info) list
   (** Every live interval as [(addr, len, info)], sorted by address.

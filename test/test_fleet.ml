@@ -148,6 +148,22 @@ let test_inspect_shard () =
   let s = Fleet.inspect_shard (cfg ()) ~shard:1 ~tick:3 in
   Alcotest.(check bool) "introspection renders" true (String.length s > 100)
 
+(* Pinned single-shard fingerprints, as printed by
+   [memguard_cli fleet --shards 1 --domains 1 --conns-per-shard K
+   --fingerprint]: rebuilding the observer's internals must leave every
+   fingerprinted byte (ledger totals, budgets, events) unchanged. *)
+let test_single_shard_fingerprint_golden () =
+  List.iter
+    (fun (k, expect) ->
+      let c =
+        { Fleet.default with shards = 1; domains = 1; conns_low = k; conns_high = 2 * k }
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "conns-per-shard %d" k)
+        expect
+        (Fleet.fingerprint (Fleet.run c)))
+    [ (16, "64b6e344838abfeb3a628b1fe77402d4"); (32, "5e9c64af8671bd53b234319531a91a98") ]
+
 let suite =
   [ ( "fleet",
       [ Alcotest.test_case "fingerprint invariant over domains" `Quick
@@ -160,6 +176,8 @@ let suite =
         Alcotest.test_case "mixed workload parity" `Quick test_mix_assignment;
         Alcotest.test_case "workload ran" `Quick test_workload_ran;
         Alcotest.test_case "dashboard + renderers" `Quick test_dashboard_and_renderers;
-        Alcotest.test_case "inspect shard" `Quick test_inspect_shard
+        Alcotest.test_case "inspect shard" `Quick test_inspect_shard;
+        Alcotest.test_case "single-shard fingerprint golden" `Quick
+          test_single_shard_fingerprint_golden
       ] )
   ]

@@ -240,6 +240,39 @@ let test_profiler_feeds_span_histograms () =
        (Bytes.of_string page)
     >= 1)
 
+(* fan-out verdicts: only a zeroing {e after} the copy counts, a zeroing
+   that touches any byte of it counts (also across a page boundary), and
+   otherwise a same-trace live interval decides still-live vs recycled *)
+let test_fanout_verdicts () =
+  let obs = Obs.create () in
+  Obs.set_tick obs 1;
+  let created addr len =
+    Obs.Trace.emit obs (Obs.Copy_created { origin = Obs.Heap_copy; pid = 1; addr; len })
+  in
+  let zeroed addr len =
+    Obs.Trace.emit obs (Obs.Copy_zeroed { origin = Obs.Heap_copy; pid = 1; addr; len })
+  in
+  Obs.Trace.with_span obs "conn" (fun () ->
+      zeroed 0 64;
+      created 0 32;
+      Obs.Provenance.register obs ~origin:Obs.Heap_copy ~pid:1 ~addr:0 ~len:32;
+      created 4090 16;
+      created 8192 16;
+      zeroed 4100 4;
+      zeroed 8208 16);
+  let f = Forensics.of_addr obs ~tick:1 ~label:"x" ~addr:0 in
+  let verdicts =
+    List.filter_map
+      (fun (n : Forensics.fan_node) ->
+        Option.map
+          (fun v -> (n.Forensics.fn_addr, Forensics.verdict_name v))
+          n.Forensics.fn_verdict)
+      f.Forensics.f_fanout
+  in
+  Alcotest.(check (list (pair int string))) "verdict per copy"
+    [ (0, "still_live"); (4090, "zeroed"); (8192, "recycled") ]
+    verdicts
+
 let suite =
   [ ( "forensics",
       [ Alcotest.test_case "hit forensics golden (ext2/tty)" `Slow test_hit_forensics_golden;
@@ -251,6 +284,7 @@ let suite =
           test_fleet_budget_fingerprint_across_domains;
         Alcotest.test_case "span histogram prometheus golden" `Quick
           test_span_histogram_prometheus;
+        Alcotest.test_case "fan-out verdicts" `Quick test_fanout_verdicts;
         Alcotest.test_case "profiler feeds span histograms" `Slow
           test_profiler_feeds_span_histograms
       ] )
