@@ -391,7 +391,8 @@ let ct_select_raw ~k bit a b dst =
   tc := !tc + k;
   let m = ct_mask bit in
   for i = 0 to k - 1 do
-    dst.(i) <- (a.(i) land m) lor (b.(i) land lnot m)
+    Array.unsafe_set dst i
+      ((Array.unsafe_get a i land m) lor (Array.unsafe_get b i land lnot m))
   done
 
 (* dst <- (a + b) mod base^k; returns the carry bit *)
@@ -444,15 +445,16 @@ let ct_reduce_once ~k ~mm ~hi t off sc soff dst =
   tc := !tc + (2 * k);
   let borrow = ref 0 in
   for i = 0 to k - 1 do
-    let s = t.(off + i) - mm.(i) - !borrow in
-    sc.(soff + i) <- s land limb_mask;
+    let s = Array.unsafe_get t (off + i) - Array.unsafe_get mm i - !borrow in
+    Array.unsafe_set sc (soff + i) (s land limb_mask);
     borrow := (s asr limb_bits) land 1
   done;
   (* v >= m iff the high limb is set (v >= base^k > m) or there is no
      borrow out of the low-limb subtraction *)
   let m = ct_mask (hi lor (1 - !borrow)) in
   for i = 0 to k - 1 do
-    dst.(i) <- (sc.(soff + i) land m) lor (t.(off + i) land lnot m)
+    Array.unsafe_set dst i
+      ((Array.unsafe_get sc (soff + i) land m) lor (Array.unsafe_get t (off + i) land lnot m))
   done
 
 (* dst (length ka+kb) <- a * b: fixed schoolbook with no zero-limb skip,
@@ -508,6 +510,10 @@ module Mont = struct
     done;
     !x land limb_mask
 
+  (* Widest working width the product-scanning kernels below accept: a
+     column sum must stay below 2^62 (see the note above [mont_redc_raw]). *)
+  let max_limbs = (1 lsl 13) - 1
+
   (* [width] pads the working width beyond the modulus' own limb count —
      the CRT path uses it so both halves run at one fixed width even when
      p and q have different limb counts.  Context setup itself performs
@@ -515,9 +521,9 @@ module Mont = struct
      outside the per-op sentinel scope, like real libraries' key-load
      precomputation. *)
   let create_width ?width m =
-    if m.sign <= 0 || is_even m || is_one m then None
+    let k = max (Array.length m.mag) (match width with Some w -> w | None -> 0) in
+    if m.sign <= 0 || is_even m || is_one m || k > max_limbs then None
     else begin
-      let k = max (Array.length m.mag) (match width with Some w -> w | None -> 0) in
       let pad x =
         let r = Array.make k 0 in
         Array.blit x.mag 0 r 0 (Array.length x.mag);
@@ -531,36 +537,49 @@ module Mont = struct
 
   let create m = create_width m
 
-  (* In-place Montgomery reduction pass over w (length 2k+1): afterwards
-     the value sits in w[k..2k] and is < 2m (given the input was < m*R).
-     Fixed-length carry propagation: the carry out of each row is folded
-     through every remaining cell rather than rippling until it dies, so
-     the sweep length depends on the row index only, never on the data. *)
-  let mont_redc_core ~k ~mm ~n0' w =
-    for i = 0 to k - 1 do
-      let u = Array.unsafe_get w i * n0' land limb_mask in
-      let c = ref 0 in
-      for j = 0 to k - 1 do
-        let s = Array.unsafe_get w (i + j) + (u * Array.unsafe_get mm j) + !c in
-        Array.unsafe_set w (i + j) (s land limb_mask);
-        c := s lsr limb_bits
-      done;
-      for idx = i + k to 2 * k do
-        let s = w.(idx) + !c in
-        w.(idx) <- s land limb_mask;
-        c := s lsr limb_bits
-      done
-    done
+  (* The kernels below are product-scanning (FIPS / Comba) Montgomery:
+     output column c sums every limb product whose indices add up to c
+     in one native int and shifts once, instead of masking and carrying
+     after each product.  Reduction digits u_i are interleaved: column i
+     < k fixes u_i so that its low limb vanishes.  A column holds at most
+     2k products below 2^48 plus a carry in below 2k * 2^25, which stays
+     under 2^62 (max_int) while k < 2^13 — [create_width] rejects wider
+     moduli.  The result equals CIOS bit for bit: both compute the unique
+     u = -T * m^-1 mod R, hence the same (T + u*m) / R.
 
-  (* dst (k limbs) <- REDC(w) for w of length 2k+1 (destroyed); the raw
+     [word_muls] advances by the same per-kernel formulas as the CIOS
+     schedule it replaced — 2k^2 per multiply, k(k+1) per reduction,
+     k(k-1)/2 + k + k^2 per square.  It is the cost model Sim_rsa
+     charges, not a count of host instructions, so it must not move when
+     the host schedule does. *)
+
+  (* dst (k limbs) <- REDC(w) for w of length 2k+1 with value < m*R
+     (destroyed: w[0..k-1] receive the reduction digits, then serve as the
+     conditional-subtract scratch); dst must not alias w.  The raw
      fixed-width counterpart of [redc], used below [pow] and by the CRT
-     path.  w[0..k-1] are zero after the core pass and double as the
-     conditional-subtract scratch. *)
+     path. *)
   let mont_redc_raw ~k ~mm ~n0' w dst =
     let wc = word_muls_ () in
     wc := !wc + (k * (k + 1));
-    mont_redc_core ~k ~mm ~n0' w;
-    ct_reduce_once ~k ~mm ~hi:w.(2 * k) w k w 0 dst
+    let acc = ref 0 in
+    for i = 0 to k - 1 do
+      let s = ref (!acc + Array.unsafe_get w i) in
+      for j = 0 to i - 1 do
+        s := !s + (Array.unsafe_get w j * Array.unsafe_get mm (i - j))
+      done;
+      let u = !s * n0' land limb_mask in
+      Array.unsafe_set w i u;
+      acc := (!s + (u * Array.unsafe_get mm 0)) lsr limb_bits
+    done;
+    for i = k to (2 * k) - 1 do
+      let s = ref (!acc + Array.unsafe_get w i) in
+      for j = i - k + 1 to k - 1 do
+        s := !s + (Array.unsafe_get w j * Array.unsafe_get mm (i - j))
+      done;
+      Array.unsafe_set dst (i - k) (!s land limb_mask);
+      acc := !s lsr limb_bits
+    done;
+    ct_reduce_once ~k ~mm ~hi:((!acc + w.(2 * k)) land limb_mask) dst 0 w 0 dst
 
   (* REDC(T) = T * R^-1 mod m, for 0 <= T < m*R *)
   let redc ctx t_in =
@@ -576,89 +595,80 @@ module Mont = struct
 
   let from_mont ctx x = redc ctx x
 
-  (* The exponentiation kernel below works on flat little-endian limb
-     arrays of fixed length k, with no allocation inside the loop: CIOS
-     (coarsely integrated operand scanning) interleaves the multiply with
-     the Montgomery reduction.  Limb products fit the native int:
-     (2^24-1)^2 + 2*(2^24-1) < 2^49. *)
+  (* The exponentiation kernels below work on flat little-endian limb
+     arrays of fixed length k, with no allocation inside the loop.
 
-  (* dst <- a*b*R^-1 mod m.  [t] is scratch of length 2k+2 (the CIOS
-     accumulator in t[0..k+1], conditional-subtract scratch in
-     t[k+2..2k+1]); aliasing dst with a or b is fine (dst is written only
-     after a and b are read), but dst must not alias t. *)
+     dst <- a*b*R^-1 mod m for a, b < base^k.  [t] is k limbs of scratch
+     (the reduction digits, then the conditional-subtract scratch).  dst
+     may alias a or b — output limb c - k is written after column c, and
+     no later column reads an operand limb below c - k + 1 — but must not
+     alias t. *)
   let mont_mul_raw ~k ~mm ~n0' ~t a b dst =
     let wc = word_muls_ () in
     wc := !wc + (2 * k * k);
-    Array.fill t 0 (k + 2) 0;
+    let acc = ref 0 in
     for i = 0 to k - 1 do
-      let ai = Array.unsafe_get a i in
-      let c = ref 0 in
-      for j = 0 to k - 1 do
-        let s = Array.unsafe_get t j + (ai * Array.unsafe_get b j) + !c in
-        Array.unsafe_set t j (s land limb_mask);
-        c := s lsr limb_bits
+      let s = ref (!acc + (Array.unsafe_get a i * Array.unsafe_get b 0)) in
+      for j = 0 to i - 1 do
+        s :=
+          !s
+          + (Array.unsafe_get a j * Array.unsafe_get b (i - j))
+          + (Array.unsafe_get t j * Array.unsafe_get mm (i - j))
       done;
-      let s = t.(k) + !c in
-      t.(k) <- s land limb_mask;
-      t.(k + 1) <- t.(k + 1) + (s lsr limb_bits);
-      let u = t.(0) * n0' land limb_mask in
-      let c = ref ((t.(0) + (u * Array.unsafe_get mm 0)) lsr limb_bits) in
-      for j = 1 to k - 1 do
-        let s = Array.unsafe_get t j + (u * Array.unsafe_get mm j) + !c in
-        Array.unsafe_set t (j - 1) (s land limb_mask);
-        c := s lsr limb_bits
-      done;
-      let s = t.(k) + !c in
-      t.(k - 1) <- s land limb_mask;
-      t.(k) <- t.(k + 1) + (s lsr limb_bits);
-      t.(k + 1) <- 0
+      let u = !s * n0' land limb_mask in
+      Array.unsafe_set t i u;
+      acc := (!s + (u * Array.unsafe_get mm 0)) lsr limb_bits
     done;
-    (* result in t.(0..k) is < 2m: one branchless conditional subtraction *)
-    ct_reduce_once ~k ~mm ~hi:t.(k) t 0 t (k + 2) dst
+    for i = k to (2 * k) - 1 do
+      let s = ref !acc in
+      for j = i - k + 1 to k - 1 do
+        s :=
+          !s
+          + (Array.unsafe_get a j * Array.unsafe_get b (i - j))
+          + (Array.unsafe_get t j * Array.unsafe_get mm (i - j))
+      done;
+      Array.unsafe_set dst (i - k) (!s land limb_mask);
+      acc := !s lsr limb_bits
+    done;
+    (* the value is < 2m: one branchless conditional subtraction *)
+    ct_reduce_once ~k ~mm ~hi:!acc dst 0 t 0 dst
 
-  (* dst <- a*a*R^-1 mod m.  [t2] is scratch of length 2k+1.  Exploits the
-     symmetry of squaring (off-diagonal products computed once, doubled),
-     then a separate Montgomery reduction pass: ~25% fewer limb products
-     than [mont_mul_raw] with both operands equal.  Aliasing dst with a is
-     fine. *)
-  let mont_sqr_raw ~k ~mm ~n0' ~t2 a dst =
+  (* dst <- a*a*R^-1 mod m.  Exploits the symmetry of squaring: each
+     off-diagonal product a_j*a_(c-j), j < c - j, is computed once and
+     doubled, the diagonal a_(c/2)^2 added on even columns — ~25% fewer
+     limb products than [mont_mul_raw] with both operands equal.  Same
+     scratch and aliasing contract as [mont_mul_raw]. *)
+  let mont_sqr_raw ~k ~mm ~n0' ~t a dst =
     let wc = word_muls_ () in
     wc := !wc + ((k * (k - 1) / 2) + k + (k * k));
-    Array.fill t2 0 ((2 * k) + 1) 0;
-    (* off-diagonal products, each counted once *)
-    for i = 0 to k - 2 do
-      let ai = Array.unsafe_get a i in
-      let c = ref 0 in
-      for j = i + 1 to k - 1 do
-        let s = Array.unsafe_get t2 (i + j) + (ai * Array.unsafe_get a j) + !c in
-        Array.unsafe_set t2 (i + j) (s land limb_mask);
-        c := s lsr limb_bits
+    let acc = ref 0 in
+    for i = 0 to (2 * k) - 1 do
+      (* column i pairs limbs lo..k-1; the diagonal limb of an odd column
+         is masked to zero rather than branched around *)
+      let lo = if i < k then 0 else i - k + 1 in
+      let d = ref 0 in
+      for j = lo to (i - 1) asr 1 do
+        d := !d + (Array.unsafe_get a j * Array.unsafe_get a (i - j))
       done;
-      t2.(i + k) <- t2.(i + k) + !c
+      let h = Array.unsafe_get a (i lsr 1) * (1 - (i land 1)) in
+      let s = ref (!acc + (2 * !d) + (h * h)) in
+      if i < k then begin
+        for j = 0 to i - 1 do
+          s := !s + (Array.unsafe_get t j * Array.unsafe_get mm (i - j))
+        done;
+        let u = !s * n0' land limb_mask in
+        Array.unsafe_set t i u;
+        acc := (!s + (u * Array.unsafe_get mm 0)) lsr limb_bits
+      end
+      else begin
+        for j = lo to k - 1 do
+          s := !s + (Array.unsafe_get t j * Array.unsafe_get mm (i - j))
+        done;
+        Array.unsafe_set dst (i - k) (!s land limb_mask);
+        acc := !s lsr limb_bits
+      end
     done;
-    (* double them, then add the diagonal a_i^2 *)
-    let c = ref 0 in
-    for idx = 0 to (2 * k) - 1 do
-      let s = (2 * Array.unsafe_get t2 idx) + !c in
-      Array.unsafe_set t2 idx (s land limb_mask);
-      c := s lsr limb_bits
-    done;
-    t2.(2 * k) <- !c;
-    let c = ref 0 in
-    for i = 0 to k - 1 do
-      let ai = Array.unsafe_get a i in
-      let s = t2.(2 * i) + (ai * ai) + !c in
-      t2.(2 * i) <- s land limb_mask;
-      let s2 = t2.((2 * i) + 1) + (s lsr limb_bits) in
-      t2.((2 * i) + 1) <- s2 land limb_mask;
-      c := s2 lsr limb_bits
-    done;
-    t2.(2 * k) <- t2.(2 * k) + !c;
-    (* Montgomery reduction of the 2k-limb square (fixed carry sweeps),
-       then one branchless conditional subtraction.  t2[0..k-1] are zero
-       after the reduction pass and double as its scratch. *)
-    mont_redc_core ~k ~mm ~n0' t2;
-    ct_reduce_once ~k ~mm ~hi:t2.(2 * k) t2 k t2 0 dst
+    ct_reduce_once ~k ~mm ~hi:!acc dst 0 t 0 dst
 
   (* x.mag padded to exactly k limbs *)
   let raw_of ~k x =
@@ -670,7 +680,7 @@ module Mont = struct
     if a.sign < 0 || b.sign < 0 then invalid_arg "Bn.Mont.mul: negative input";
     let k = ctx.k in
     if Array.length a.mag <= k && Array.length b.mag <= k then begin
-      let t = Array.make ((2 * k) + 2) 0 in
+      let t = Array.make k 0 in
       let dst = Array.make k 0 in
       mont_mul_raw ~k ~mm:ctx.mm ~n0':ctx.n0' ~t (raw_of ~k a) (raw_of ~k b) dst;
       normalize 1 dst
@@ -683,7 +693,7 @@ module Mont = struct
   let to_mont ctx x =
     if x.sign < 0 || cmp_mag x.mag ctx.m.mag >= 0 then invalid_arg "Bn.Mont.to_mont: out of range";
     let k = ctx.k in
-    let t = Array.make ((2 * k) + 2) 0 in
+    let t = Array.make k 0 in
     let dst = Array.make k 0 in
     mont_mul_raw ~k ~mm:ctx.mm ~n0':ctx.n0' ~t (raw_of ~k x) ctx.r2_raw dst;
     normalize 1 dst
@@ -700,9 +710,9 @@ module Mont = struct
     Array.fill dst 0 k 0;
     for j = 0 to 15 do
       let m = ct_mask (((j lxor idx) - 1) lsr (Sys.int_size - 1)) in
-      let e = table.(j) in
+      let e = Array.unsafe_get table j in
       for i = 0 to k - 1 do
-        dst.(i) <- dst.(i) lor (e.(i) land m)
+        Array.unsafe_set dst i (Array.unsafe_get dst i lor (Array.unsafe_get e i land m))
       done
     done
 
@@ -722,8 +732,7 @@ module Mont = struct
   let pow_raw ctx ~braw ~exp =
     let k = ctx.k in
     let mm = ctx.mm and n0' = ctx.n0' in
-    let t = Array.make ((2 * k) + 2) 0 in
-    let t2 = Array.make ((2 * k) + 1) 0 in
+    let t = Array.make k 0 in
     let bm = Array.make k 0 in
     mont_mul_raw ~k ~mm ~n0' ~t braw ctx.r2_raw bm;
     let one_m = ctx.one_raw in
@@ -736,7 +745,7 @@ module Mont = struct
            construction (RSA e, protocol cofactors) — never dp/dq/x. *)
         let result = Array.copy one_m in
         for i = nbits - 1 downto 0 do
-          mont_sqr_raw ~k ~mm ~n0' ~t2 result result;
+          mont_sqr_raw ~k ~mm ~n0' ~t result result;
           if test_bit exp i then mont_mul_raw ~k ~mm ~n0' ~t result bm result
         done;
         result
@@ -773,7 +782,7 @@ module Mont = struct
         ct_gather ~k table (nibble (nwin - 1)) result;
         for w = nwin - 2 downto 0 do
           for _ = 1 to 4 do
-            mont_sqr_raw ~k ~mm ~n0' ~t2 result result
+            mont_sqr_raw ~k ~mm ~n0' ~t result result
           done;
           ct_gather ~k table (nibble w) g;
           mont_mul_raw ~k ~mm ~n0' ~t result g result
@@ -797,10 +806,10 @@ module Mont = struct
       tc := !tc + !pc
     end;
     (* leave the Montgomery domain: REDC of the k-limb result *)
-    Array.fill t2 0 ((2 * k) + 1) 0;
-    Array.blit result 0 t2 0 k;
+    let w = Array.make ((2 * k) + 1) 0 in
+    Array.blit result 0 w 0 k;
     let out = Array.make k 0 in
-    mont_redc_raw ~k ~mm ~n0' t2 out;
+    mont_redc_raw ~k ~mm ~n0' w out;
     out
 
   let pow ctx ~base:b ~exp =
@@ -953,7 +962,7 @@ module Ct = struct
     Array.blit craw 0 w 0 (min (Array.length craw) (2 * k));
     let u = Array.make k 0 in
     Mont.mont_redc_raw ~k ~mm:ctx.Mont.mm ~n0':ctx.Mont.n0' w u;
-    let t = Array.make ((2 * k) + 2) 0 in
+    let t = Array.make k 0 in
     let d = Array.make k 0 in
     Mont.mont_mul_raw ~k ~mm:ctx.Mont.mm ~n0':ctx.Mont.n0' ~t u ctx.Mont.r2_raw d;
     d
@@ -990,7 +999,7 @@ module Ct = struct
            domain; m2 may exceed p, which to_mont absorbs (any value
            below base^kh reduces mod p through the REDC multiply) *)
         let mmp = cp.Mont.mm and n0p = cp.Mont.n0' in
-        let t = Array.make ((2 * kh) + 2) 0 in
+        let t = Array.make kh 0 in
         let am1 = Array.make kh 0 and am2 = Array.make kh 0 in
         Mont.mont_mul_raw ~k:kh ~mm:mmp ~n0':n0p ~t m1 cp.Mont.r2_raw am1;
         Mont.mont_mul_raw ~k:kh ~mm:mmp ~n0':n0p ~t m2 cp.Mont.r2_raw am2;

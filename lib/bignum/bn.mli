@@ -103,7 +103,8 @@ module Mont : sig
   type ctx
 
   val create : t -> ctx option
-  (** [create m] precomputes a context for an odd modulus [m > 1];
+  (** [create m] precomputes a context for an odd modulus [m > 1] of at
+      most 8191 limbs (the product-scanning kernels' headroom bound);
       [None] otherwise. *)
 
   val modulus : ctx -> t

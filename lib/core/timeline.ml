@@ -41,84 +41,72 @@ type driver = {
   shutdown : unit -> unit;
 }
 
+(* connections in FIFO order: the oldest closes first, and close order
+   decides the order frames reach the buddy hot list *)
 let ssh_driver ?sshd_opts sys =
   let rng = System.rng sys in
   let srv = System.start_sshd ?opts:sshd_opts sys in
-  let conns = ref [] in
+  let conns = Queue.create () in
   let open_one () =
     let c = Sshd.open_connection srv rng in
     Sshd.transfer srv c rng ~kib:4;
-    conns := !conns @ [ c ]
+    Queue.add c conns
   in
-  let close_oldest () =
-    match !conns with
-    | [] -> ()
-    | c :: rest ->
-      Sshd.close_connection srv c;
-      conns := rest
-  in
+  let close_oldest () = Option.iter (Sshd.close_connection srv) (Queue.take_opt conns) in
   { set_concurrency =
       (fun target ->
-        while List.length !conns > target do
+        while Queue.length conns > target do
           close_oldest ()
         done;
-        while List.length !conns < target do
+        while Queue.length conns < target do
           open_one ()
         done);
     churn_slots =
       (fun () ->
         (* every slot finishes its ~4s transfer and a new one starts *)
-        let n = List.length !conns in
-        for _ = 1 to n do
+        for _ = 1 to Queue.length conns do
           close_oldest ();
           open_one ()
         done);
     shutdown =
       (fun () ->
-        List.iter (Sshd.close_connection srv) !conns;
-        conns := [];
+        Queue.iter (Sshd.close_connection srv) conns;
+        Queue.clear conns;
         Sshd.stop srv)
   }
 
 let http_driver ~high sys =
   let rng = System.rng sys in
   let srv = System.start_apache ~workers:high sys in
-  let conns = ref [] in
+  let conns = Queue.create () in
   let open_one () =
     match Apache.open_connection srv rng with
     | Some c ->
       Apache.serve srv c rng ~kib:8;
-      conns := !conns @ [ c ]
+      Queue.add c conns
     | None -> ()
   in
-  let close_oldest () =
-    match !conns with
-    | [] -> ()
-    | c :: rest ->
-      Apache.close_connection srv c;
-      conns := rest
-  in
+  let close_oldest () = Option.iter (Apache.close_connection srv) (Queue.take_opt conns) in
   { set_concurrency =
       (fun target ->
-        while List.length !conns > target do
+        while Queue.length conns > target do
           close_oldest ()
         done;
         let guard = ref 0 in
-        while List.length !conns < target && !guard < 4 * target do
+        while Queue.length conns < target && !guard < 4 * target do
           incr guard;
           open_one ()
         done);
     churn_slots =
       (fun () ->
-        let n = List.length !conns in
-        for _ = 1 to n do
+        for _ = 1 to Queue.length conns do
           close_oldest ();
           open_one ()
         done);
     shutdown =
       (fun () ->
-        List.iter (Apache.close_connection srv) !conns;
-        conns := [];
+        Queue.iter (Apache.close_connection srv) conns;
+        Queue.clear conns;
         Apache.stop srv)
   }
 

@@ -624,6 +624,17 @@ let frame_owners t ~pfn =
       if maps then Some p.Proc.pid else None)
     (live_procs t)
 
+let iter_frame_mappings t f =
+  Hashtbl.fold (fun _ p acc -> p :: acc) t.procs []
+  |> List.sort (fun a b -> compare b.Proc.pid a.Proc.pid)
+  |> List.iter (fun (p : Proc.t) ->
+         Hashtbl.iter
+           (fun _ pte ->
+             match pte with
+             | Proc.Present pr -> f ~pfn:pr.Proc.pfn ~pid:p.Proc.pid
+             | Proc.Swapped _ -> ())
+           p.Proc.page_table)
+
 type stats = {
   free_pages : int;
   allocated_pages : int;

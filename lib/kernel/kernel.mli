@@ -168,7 +168,16 @@ val classify_phys : t -> addr:int -> Memguard_obs.Obs.mem_class
 
 val frame_owners : t -> pfn:int -> int list
 (** Reverse mapping: pids of live processes mapping this frame (the rmap
-    walk of the paper's LKM). *)
+    walk of the paper's LKM), ascending.  Walks every live page table;
+    to attribute many frames, build one table with
+    {!iter_frame_mappings} instead. *)
+
+val iter_frame_mappings : t -> (pfn:int -> pid:int -> unit) -> unit
+(** [iter_frame_mappings t f] calls [f ~pfn ~pid] once per present PTE
+    of every live process — one pass over the live page tables, process
+    by process in {e descending} pid order.  Consing each [pid] onto a
+    per-frame list unless it already heads that list therefore builds
+    {!frame_owners} for every frame at once. *)
 
 type stats = {
   free_pages : int;

@@ -9,6 +9,7 @@ type t = {
   ms : Multi_search.t;
   gens : int array; (* generation each page was last scanned at; -1 = never *)
   page_hits : (int * int) list array; (* per page: (addr, pat), ascending, match *starts* here *)
+  owners : int list array; (* frame -> owning pids, filled per query, [] between queries *)
   mutable last_scanned : int;
   mutable total_scanned : int;
   mutable scans : int;
@@ -37,6 +38,7 @@ let create kernel ~patterns =
     ms = Multi_search.compile needles;
     gens = Array.make np (-1);
     page_hits = Array.make np [];
+    owners = Array.make np [];
     last_scanned = 0;
     total_scanned = 0;
     scans = 0;
@@ -123,9 +125,13 @@ let scan t =
   let mem = Kernel.mem t.kernel in
   let ps = Phys_mem.page_size mem in
   let np = Phys_mem.num_pages mem in
-  let acc = ref [] in
   (* locations are recomputed every query: page ownership moves without
-     any byte changing (alloc / free / exit) *)
+     any byte changing (alloc / free / exit).  One pass over the live page
+     tables answers every hit's reverse-map question. *)
+  Kernel.iter_frame_mappings t.kernel (fun ~pfn ~pid ->
+      t.owners.(pfn) <- Scanner.add_owner t.owners.(pfn) ~pid);
+  let owners pfn = t.owners.(pfn) in
+  let acc = ref [] in
   for q = np - 1 downto 0 do
     acc :=
       List.fold_right
@@ -134,11 +140,12 @@ let scan t =
           { Scanner.label = t.labels.(pat);
             addr;
             pfn;
-            location = Scanner.locate t.kernel ~pfn
+            location = Scanner.locate ~owners t.kernel ~pfn
           }
           :: rest)
         t.page_hits.(q) !acc
   done;
+  Array.fill t.owners 0 np [];
   List.sort
     (fun a b -> compare (a.Scanner.addr, a.Scanner.label) (b.Scanner.addr, b.Scanner.label))
     !acc

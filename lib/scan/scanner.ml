@@ -15,13 +15,35 @@ type hit = { label : string; addr : int; pfn : int; location : location }
 
 let is_allocated loc = match loc with Unallocated -> false | _ -> true
 
-let locate k ~pfn =
+let locate ~owners k ~pfn =
   let page = Phys_mem.page (Kernel.mem k) pfn in
   match page.Page.owner with
   | Page.Free -> Unallocated
-  | Page.Anon -> Allocated_anon (Kernel.frame_owners k ~pfn)
+  | Page.Anon -> Allocated_anon (owners pfn)
   | Page.Page_cache { ino; index } -> Allocated_page_cache { ino; index }
   | Page.Kernel -> Allocated_kernel
+
+let add_owner owners ~pid =
+  match owners with p :: _ when p = pid -> owners | _ -> pid :: owners
+
+(* Locate [(label, addr, pfn)] matches with one query's reverse map,
+   filled in one pass over the live page tables: [Kernel.frame_owners]
+   walks every page table, so asking it per hit would make a scan
+   quadratic in live processes.  The map is a hashtable keyed by the hit
+   frames, not a num_pages array, so a cold scan allocates nothing in
+   proportion to RAM. *)
+let locate_hits k hits =
+  let tbl = Hashtbl.create 64 in
+  List.iter (fun (_, _, pfn) -> Hashtbl.replace tbl pfn []) hits;
+  if Hashtbl.length tbl > 0 then
+    Kernel.iter_frame_mappings k (fun ~pfn ~pid ->
+        match Hashtbl.find tbl pfn with
+        | owners -> Hashtbl.replace tbl pfn (add_owner owners ~pid)
+        | exception Not_found -> ());
+  let owners pfn = Hashtbl.find tbl pfn in
+  List.map
+    (fun (label, addr, pfn) -> { label; addr; pfn; location = locate ~owners k ~pfn })
+    hits
 
 let compile_patterns ~who patterns =
   let labels = Array.of_list (List.map fst patterns) in
@@ -42,10 +64,8 @@ let scan k ~patterns =
   Obs.Cost.charge (Kernel.obs k) ~sub:"scan" Scan_byte (Bytes.length raw);
   let acc = ref [] in
   (* one sweep reports every pattern's hits at once *)
-  Multi_search.iter ms raw ~f:(fun ~pos ~pat ->
-      let pfn = pos / ps in
-      acc := { label = labels.(pat); addr = pos; pfn; location = locate k ~pfn } :: !acc);
-  sort_hits (List.rev !acc)
+  Multi_search.iter ms raw ~f:(fun ~pos ~pat -> acc := (labels.(pat), pos, pos / ps) :: !acc);
+  sort_hits (locate_hits k (List.rev !acc))
 
 (* The pre-engine baseline: one full sweep of RAM per pattern.  Kept as a
    reference implementation for differential tests and for benchmarking the
@@ -59,12 +79,9 @@ let scan_multipass k ~patterns =
   List.concat_map
     (fun (label, needle) ->
       if needle = "" then invalid_arg "Scanner.scan: empty pattern";
-      List.map
-        (fun addr ->
-          let pfn = addr / ps in
-          { label; addr; pfn; location = locate k ~pfn })
-        (Bytes_util.find_all ~needle raw))
+      List.map (fun addr -> (label, addr, addr / ps)) (Bytes_util.find_all ~needle raw))
     patterns
+  |> locate_hits k
   |> sort_hits
 
 let scan_swap k ~patterns =
@@ -135,17 +152,14 @@ let scan_detailed k ~patterns ?(min_bytes = 20) () =
       in
       let matched = extend 4 in
       let full = matched = n in
-      if full || matched >= min_bytes then begin
-        let pfn = addr / ps in
-        acc :=
-          { base = { label = labels.(pat); addr; pfn; location = locate k ~pfn };
-            matched_bytes = matched;
-            full
-          }
-          :: !acc
-      end);
-  List.sort (fun a b -> compare (a.base.addr, a.base.label) (b.base.addr, b.base.label))
-    (List.rev !acc)
+      if full || matched >= min_bytes then
+        acc := ((labels.(pat), addr, addr / ps), (matched, full)) :: !acc);
+  let matches = List.rev !acc in
+  List.map2
+    (fun base (_, (matched_bytes, full)) -> { base; matched_bytes; full })
+    (locate_hits k (List.map fst matches))
+    matches
+  |> List.sort (fun a b -> compare (a.base.addr, a.base.label) (b.base.addr, b.base.label))
 
 let render_proc_output k ~patterns =
   let hits = scan_detailed k ~patterns () in

@@ -21,10 +21,17 @@ type hit = {
 
 val is_allocated : location -> bool
 
-val locate : Memguard_kernel.Kernel.t -> pfn:int -> location
-(** Classify a frame the way a hit on it would be classified (frame
-    metadata + rmap walk).  Used by [Scan_cache], which caches raw match
-    offsets and re-derives locations at query time. *)
+val locate : owners:(int -> int list) -> Memguard_kernel.Kernel.t -> pfn:int -> location
+(** Classify a frame the way a hit on it would be classified: frame
+    metadata, plus [owners pfn] for an anonymous frame — one query's
+    frame -> pids table (the rmap walk), built with
+    {!Memguard_kernel.Kernel.iter_frame_mappings} and {!add_owner}.  Used
+    by [Scan_cache], which caches raw match offsets and re-derives
+    locations at query time. *)
+
+val add_owner : int list -> pid:int -> int list
+(** The table-building step for {!Memguard_kernel.Kernel.iter_frame_mappings}:
+    cons [pid] unless it already heads the list. *)
 
 val scan : Memguard_kernel.Kernel.t -> patterns:(string * string) list -> hit list
 (** [scan k ~patterns] sweeps all of physical memory — one single

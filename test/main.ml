@@ -32,5 +32,6 @@ let () =
          Test_flight.suite;
          Test_index.suite;
          Test_ct.suite;
+         Test_fastpath.suite;
          Test_final.suite
        ])
