@@ -718,6 +718,15 @@ let run_micro () =
         Test.make ~name:"md5/1KiB"
           (let data = String.make 1024 'm' in
            Staged.stage (fun () -> ignore (Memguard_crypto.Md5.digest data)));
+        Test.make ~name:"dh_keygen/group_small"
+          (let rng = Prng.of_int 35 in
+           Staged.stage (fun () ->
+               ignore (Memguard_crypto.Dh.generate_keypair rng Memguard_crypto.Dh.group_small)));
+        Test.make ~name:"crt_exp/256"
+          (let rng = Prng.of_int 36 in
+           let key = Rsa.generate rng ~bits:256 in
+           let c = Bn.random_below rng key.Rsa.n in
+           Staged.stage (fun () -> ignore (Rsa.decrypt_raw key c)));
         Test.make ~name:"proto/ssh_kex_handshake"
           (let sys = System.create ~num_pages:1024 ~seed:31 ~noise:false ~level:Protection.Unprotected () in
            let kk = System.kernel sys in

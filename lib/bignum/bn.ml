@@ -378,17 +378,28 @@ let mod_pow_const_shape ~base:b ~exp ~modulus =
    per-op delta sampled by Sim_rsa.private_op must show zero spread
    across keys and exponent bit patterns, exactly like word_muls. *)
 
-let ct_traffic_key = Domain.DLS.new_key (fun () -> ref 0)
+(* The calling domain's two cost counters: limb multiply-accumulates of
+   the Montgomery kernels ([Mont.word_muls]) and limbs swept by the
+   constant-time primitives ([Ct.limb_traffic]).  Host-side bookkeeping
+   only, never part of simulated state; callers that price modular
+   arithmetic read them before and after an operation and charge the
+   delta (see Sim_rsa).  Domain-local: the fleet simulator runs one shard
+   per domain, and shared counters would let concurrent shards
+   contaminate each other's deltas.  An operation fetches the record once
+   and threads it through every kernel it calls as [~mt]; each kernel
+   still advances the fields by its own per-call formula. *)
+type meter = { mutable word_muls : int; mutable limb_traffic : int }
 
-let ct_traffic_ () = Domain.DLS.get ct_traffic_key
+let meter_key = Domain.DLS.new_key (fun () -> { word_muls = 0; limb_traffic = 0 })
+
+let meter () = Domain.DLS.get meter_key
 
 (* all-ones native-int mask from a condition bit *)
 let ct_mask bit = -(bit land 1)
 
 (* dst.(i) <- if bit then a.(i) else b.(i), fixed full-width sweep *)
-let ct_select_raw ~k bit a b dst =
-  let tc = ct_traffic_ () in
-  tc := !tc + k;
+let ct_select_raw ~mt ~k bit a b dst =
+  mt.limb_traffic <- mt.limb_traffic + k;
   let m = ct_mask bit in
   for i = 0 to k - 1 do
     Array.unsafe_set dst i
@@ -396,9 +407,8 @@ let ct_select_raw ~k bit a b dst =
   done
 
 (* dst <- (a + b) mod base^k; returns the carry bit *)
-let ct_add_raw ~k a b dst =
-  let tc = ct_traffic_ () in
-  tc := !tc + k;
+let ct_add_raw ~mt ~k a b dst =
+  mt.limb_traffic <- mt.limb_traffic + k;
   let carry = ref 0 in
   for i = 0 to k - 1 do
     let s = a.(i) + b.(i) + !carry in
@@ -411,9 +421,8 @@ let ct_add_raw ~k a b dst =
    already holds the mod-base residue in its low limb_bits (two's
    complement), and its arithmetic shift is all-ones, so the borrow
    propagates without a sign test. *)
-let ct_sub_raw ~k a b dst =
-  let tc = ct_traffic_ () in
-  tc := !tc + k;
+let ct_sub_raw ~mt ~k a b dst =
+  mt.limb_traffic <- mt.limb_traffic + k;
   let borrow = ref 0 in
   for i = 0 to k - 1 do
     let s = a.(i) - b.(i) - !borrow in
@@ -425,9 +434,8 @@ let ct_sub_raw ~k a b dst =
 (* 1 iff a >= b: the subtraction borrow with the difference discarded.
    Full-width sweep — no early exit on the first differing limb, unlike
    [cmp_mag]. *)
-let ct_ge_raw ~k a b =
-  let tc = ct_traffic_ () in
-  tc := !tc + k;
+let ct_ge_raw ~mt ~k a b =
+  mt.limb_traffic <- mt.limb_traffic + k;
   let borrow = ref 0 in
   for i = 0 to k - 1 do
     let s = a.(i) - b.(i) - !borrow in
@@ -440,9 +448,8 @@ let ct_ge_raw ~k a b =
    computes the difference, then selects by mask.  [sc] is a k-limb
    scratch region starting at [soff]; dst may alias t[off..] or an operand
    array, but not the scratch. *)
-let ct_reduce_once ~k ~mm ~hi t off sc soff dst =
-  let tc = ct_traffic_ () in
-  tc := !tc + (2 * k);
+let ct_reduce_once ~mt ~k ~mm ~hi t off sc soff dst =
+  mt.limb_traffic <- mt.limb_traffic + (2 * k);
   let borrow = ref 0 in
   for i = 0 to k - 1 do
     let s = Array.unsafe_get t (off + i) - Array.unsafe_get mm i - !borrow in
@@ -460,9 +467,8 @@ let ct_reduce_once ~k ~mm ~hi t off sc soff dst =
 (* dst (length ka+kb) <- a * b: fixed schoolbook with no zero-limb skip,
    and the carry out of each row lands in one fixed cell instead of
    rippling until it dies — identical work for every operand value. *)
-let ct_mul_raw ~ka ~kb a b dst =
-  let tc = ct_traffic_ () in
-  tc := !tc + (ka * kb);
+let ct_mul_raw ~mt ~ka ~kb a b dst =
+  mt.limb_traffic <- mt.limb_traffic + (ka * kb);
   Array.fill dst 0 (ka + kb) 0;
   for i = 0 to ka - 1 do
     let ai = Array.unsafe_get a i in
@@ -485,19 +491,10 @@ module Mont = struct
     mm : int array;  (* m padded to k limbs *)
     r2_raw : int array;  (* R^2 mod m as k limbs, for to_mont *)
     one_raw : int array;  (* R mod m as k limbs: 1 in the Montgomery domain *)
+    lazy_ok : bool;  (* 4m < R: exponentiations may stay in [0, 2m) *)
   }
 
-  (* Running count of limb multiply-accumulates performed by the Mont
-     kernels.  Host-side bookkeeping only (never part of simulated
-     state); callers that price modular arithmetic read it before and
-     after an operation and charge the delta (see Sim_rsa).  Domain-local:
-     the fleet simulator runs one shard per domain, and a shared counter
-     would let concurrent shards contaminate each other's deltas. *)
-  let word_muls_key = Domain.DLS.new_key (fun () -> ref 0)
-
-  let word_muls_ () = Domain.DLS.get word_muls_key
-
-  let word_muls () = !(word_muls_ ())
+  let word_muls () = (meter ()).word_muls
 
   let modulus ctx = ctx.m
 
@@ -511,7 +508,7 @@ module Mont = struct
     !x land limb_mask
 
   (* Widest working width the product-scanning kernels below accept: a
-     column sum must stay below 2^62 (see the note above [mont_redc_raw]). *)
+     column sum must stay below 2^62 (see the product-scanning note below). *)
   let max_limbs = (1 lsl 13) - 1
 
   (* [width] pads the working width beyond the modulus' own limb count —
@@ -519,7 +516,9 @@ module Mont = struct
      p and q have different limb counts.  Context setup itself performs
      wide divisions (R^2 mod m); it is amortized per modulus and sits
      outside the per-op sentinel scope, like real libraries' key-load
-     precomputation. *)
+     precomputation.  4m < R holds exactly when the padded top limb is
+     below base/4; that public fact picks the exponentiation schedule
+     (see [finish]). *)
   let create_width ?width m =
     let k = max (Array.length m.mag) (match width with Some w -> w | None -> 0) in
     if m.sign <= 0 || is_even m || is_one m || k > max_limbs then None
@@ -532,7 +531,9 @@ module Mont = struct
       let n0' = base - inv_limb m.mag.(0) in
       let r2 = rem (shift_left one (2 * k * limb_bits)) m in
       let one_m = rem (shift_left one (k * limb_bits)) m in
-      Some { m; k; n0'; mm = pad m; r2_raw = pad r2; one_raw = pad one_m }
+      let mm = pad m in
+      Some
+        { m; k; n0'; mm; r2_raw = pad r2; one_raw = pad one_m; lazy_ok = mm.(k - 1) < base / 4 }
     end
 
   let create m = create_width m
@@ -553,14 +554,30 @@ module Mont = struct
      charges, not a count of host instructions, so it must not move when
      the host schedule does. *)
 
-  (* dst (k limbs) <- REDC(w) for w of length 2k+1 with value < m*R
-     (destroyed: w[0..k-1] receive the reduction digits, then serve as the
-     conditional-subtract scratch); dst must not alias w.  The raw
-     fixed-width counterpart of [redc], used below [pow] and by the CRT
-     path. *)
-  let mont_redc_raw ~k ~mm ~n0' w dst =
-    let wc = word_muls_ () in
-    wc := !wc + (k * (k + 1));
+  (* Close a kernel whose output v = hi*base^k + dst[0..k-1] is below 2m.
+     [canon] subtracts m once, branch-free, with t[0..k-1] as scratch,
+     leaving v in [0, m).  Without it v stays in [0, 2m) and hi is zero:
+     when 4m < R, inputs below 2m keep a*b + u*m below 2mR, so every
+     Montgomery product of such values lands below 2m again (Walter's
+     bound), and only the value leaving the domain has to be canonical.
+     Either way the traffic counter advances by the subtraction's 2k: the
+     counters price the canonical schedule, whichever one the host runs. *)
+  let finish ~mt ~canon ~k ~mm ~hi t dst =
+    if canon then ct_reduce_once ~mt ~k ~mm ~hi dst 0 t 0 dst
+    else mt.limb_traffic <- mt.limb_traffic + (2 * k)
+
+  (* REDC(T) = T * R^-1 mod m, canonical, as a fresh k-limb array, for T
+     given as at most 2k limbs with 0 <= T < m*R.  The input length is a
+     boundary artifact of the callers' representations; below it the
+     working copy w is fixed-width, 2k limbs plus one for carries.
+     w[0..k-1] receive the reduction digits, then serve as the
+     conditional-subtract scratch. *)
+  let redc_raw ~mt c x =
+    let k = c.k and mm = c.mm and n0' = c.n0' in
+    mt.word_muls <- mt.word_muls + (k * (k + 1));
+    let w = Array.make ((2 * k) + 1) 0 in
+    Array.blit x 0 w 0 (Array.length x);
+    let dst = Array.make k 0 in
     let acc = ref 0 in
     for i = 0 to k - 1 do
       let s = ref (!acc + Array.unsafe_get w i) in
@@ -579,33 +596,25 @@ module Mont = struct
       Array.unsafe_set dst (i - k) (!s land limb_mask);
       acc := !s lsr limb_bits
     done;
-    ct_reduce_once ~k ~mm ~hi:((!acc + w.(2 * k)) land limb_mask) dst 0 w 0 dst
+    ct_reduce_once ~mt ~k ~mm ~hi:((!acc + w.(2 * k)) land limb_mask) dst 0 w 0 dst;
+    dst
 
-  (* REDC(T) = T * R^-1 mod m, for 0 <= T < m*R *)
-  let redc ctx t_in =
-    let k = ctx.k in
-    (* working copy, k extra limbs plus one for carries; the input length
-       is a boundary artifact of the [t] representation — below this line
-       everything is fixed-width *)
-    let w = Array.make ((2 * k) + 1) 0 in
-    Array.blit t_in.mag 0 w 0 (Array.length t_in.mag);
-    let dst = Array.make k 0 in
-    mont_redc_raw ~k ~mm:ctx.mm ~n0':ctx.n0' w dst;
-    normalize 1 dst
+  let redc ctx t_in = normalize 1 (redc_raw ~mt:(meter ()) ctx t_in.mag)
 
   let from_mont ctx x = redc ctx x
 
   (* The exponentiation kernels below work on flat little-endian limb
      arrays of fixed length k, with no allocation inside the loop.
 
-     dst <- a*b*R^-1 mod m for a, b < base^k.  [t] is k limbs of scratch
-     (the reduction digits, then the conditional-subtract scratch).  dst
-     may alias a or b — output limb c - k is written after column c, and
-     no later column reads an operand limb below c - k + 1 — but must not
+     dst <- a*b*R^-1 mod m for a, b < base^k, canonical when [canon] (see
+     [finish] for the other case).  [t] is k limbs of scratch (the
+     reduction digits, then the conditional-subtract scratch).  dst may
+     alias a or b — output limb c - k is written after column c, and no
+     later column reads an operand limb below c - k + 1 — but must not
      alias t. *)
-  let mont_mul_raw ~k ~mm ~n0' ~t a b dst =
-    let wc = word_muls_ () in
-    wc := !wc + (2 * k * k);
+  let mont_mul_raw ~mt ~canon c ~t a b dst =
+    let k = c.k and mm = c.mm and n0' = c.n0' in
+    mt.word_muls <- mt.word_muls + (2 * k * k);
     let acc = ref 0 in
     for i = 0 to k - 1 do
       let s = ref (!acc + (Array.unsafe_get a i * Array.unsafe_get b 0)) in
@@ -630,17 +639,16 @@ module Mont = struct
       Array.unsafe_set dst (i - k) (!s land limb_mask);
       acc := !s lsr limb_bits
     done;
-    (* the value is < 2m: one branchless conditional subtraction *)
-    ct_reduce_once ~k ~mm ~hi:!acc dst 0 t 0 dst
+    finish ~mt ~canon ~k ~mm ~hi:!acc t dst
 
   (* dst <- a*a*R^-1 mod m.  Exploits the symmetry of squaring: each
      off-diagonal product a_j*a_(c-j), j < c - j, is computed once and
      doubled, the diagonal a_(c/2)^2 added on even columns — ~25% fewer
      limb products than [mont_mul_raw] with both operands equal.  Same
-     scratch and aliasing contract as [mont_mul_raw]. *)
-  let mont_sqr_raw ~k ~mm ~n0' ~t a dst =
-    let wc = word_muls_ () in
-    wc := !wc + ((k * (k - 1) / 2) + k + (k * k));
+     scratch, aliasing and [canon] contract as [mont_mul_raw]. *)
+  let mont_sqr_raw ~mt ~canon c ~t a dst =
+    let k = c.k and mm = c.mm and n0' = c.n0' in
+    mt.word_muls <- mt.word_muls + ((k * (k - 1) / 2) + k + (k * k));
     let acc = ref 0 in
     for i = 0 to (2 * k) - 1 do
       (* column i pairs limbs lo..k-1; the diagonal limb of an odd column
@@ -668,7 +676,7 @@ module Mont = struct
         acc := !s lsr limb_bits
       end
     done;
-    ct_reduce_once ~k ~mm ~hi:!acc dst 0 t 0 dst
+    finish ~mt ~canon ~k ~mm ~hi:!acc t dst
 
   (* x.mag padded to exactly k limbs *)
   let raw_of ~k x =
@@ -682,7 +690,7 @@ module Mont = struct
     if Array.length a.mag <= k && Array.length b.mag <= k then begin
       let t = Array.make k 0 in
       let dst = Array.make k 0 in
-      mont_mul_raw ~k ~mm:ctx.mm ~n0':ctx.n0' ~t (raw_of ~k a) (raw_of ~k b) dst;
+      mont_mul_raw ~mt:(meter ()) ~canon:true ctx ~t (raw_of ~k a) (raw_of ~k b) dst;
       normalize 1 dst
     end
     else
@@ -695,7 +703,7 @@ module Mont = struct
     let k = ctx.k in
     let t = Array.make k 0 in
     let dst = Array.make k 0 in
-    mont_mul_raw ~k ~mm:ctx.mm ~n0':ctx.n0' ~t (raw_of ~k x) ctx.r2_raw dst;
+    mont_mul_raw ~mt:(meter ()) ~canon:true ctx ~t (raw_of ~k x) ctx.r2_raw dst;
     normalize 1 dst
 
   (* dst (k limbs) <- table.(idx) without a secret-dependent index: every
@@ -704,9 +712,8 @@ module Mont = struct
      equality test is the shift trick: (j xor idx) - 1 is negative exactly
      for the matching entry, and a logical shift of a negative int leaves
      the sign bit. *)
-  let ct_gather ~k table idx dst =
-    let tc = ct_traffic_ () in
-    tc := !tc + (16 * k);
+  let ct_gather ~mt ~k table idx dst =
+    mt.limb_traffic <- mt.limb_traffic + (16 * k);
     Array.fill dst 0 k 0;
     for j = 0 to 15 do
       let m = ct_mask (((j lxor idx) - 1) lsr (Sys.int_size - 1)) in
@@ -715,6 +722,27 @@ module Mont = struct
         Array.unsafe_set dst i (Array.unsafe_get dst i lor (Array.unsafe_get e i land m))
       done
     done
+
+  (* table.(j) = x^j in the Montgomery domain for j < 16, from xm = x*R:
+     14 multiplies; table.(1) is xm itself *)
+  let powers ~mt ~canon c ~t xm =
+    let table = Array.make 16 c.one_raw in
+    table.(1) <- xm;
+    for j = 2 to 15 do
+      let e = Array.make c.k 0 in
+      mont_mul_raw ~mt ~canon c ~t table.(j - 1) xm e;
+      table.(j) <- e
+    done;
+    table
+
+  (* window i of the exponent padded to [elimbs] limbs: 4-bit windows,
+     and limb_bits is a multiple of 4, so a window never straddles limbs *)
+  let windows ~elimbs exp =
+    let emag = Array.make elimbs 0 in
+    Array.blit exp.mag 0 emag 0 (Array.length exp.mag);
+    fun i ->
+      let bitpos = 4 * i in
+      (emag.(bitpos / limb_bits) lsr (bitpos mod limb_bits)) land 0xf
 
   (* Test-only leak hook for the CI leakage-sentinel smoke test: when
      armed, [pow_raw] adds the exponent's popcount to both
@@ -728,14 +756,15 @@ module Mont = struct
      mod m implicitly by the first Montgomery multiply).  Returns
      (braw mod m)^exp mod m as k limbs.  Below this point every kernel is
      fixed-width and branchless; the only exponent-driven control left is
-     the short-exponent fast path, reserved for public exponents. *)
-  let pow_raw ctx ~braw ~exp =
+     the short-exponent fast path, reserved for public exponents.  When
+     4m < R, every kernel before the closing REDC skips its conditional
+     subtraction. *)
+  let pow_raw ~mt ctx ~braw ~exp =
+    let canon = not ctx.lazy_ok in
     let k = ctx.k in
-    let mm = ctx.mm and n0' = ctx.n0' in
     let t = Array.make k 0 in
     let bm = Array.make k 0 in
-    mont_mul_raw ~k ~mm ~n0' ~t braw ctx.r2_raw bm;
-    let one_m = ctx.one_raw in
+    mont_mul_raw ~mt ~canon ctx ~t braw ctx.r2_raw bm;
     let nbits = bit_length exp in
     let result =
       if nbits <= 2 * limb_bits then begin
@@ -743,16 +772,15 @@ module Mont = struct
            beats paying for a window table.  Branching on exponent bits is
            acceptable here because short exponents are public by
            construction (RSA e, protocol cofactors) — never dp/dq/x. *)
-        let result = Array.copy one_m in
+        let result = Array.copy ctx.one_raw in
         for i = nbits - 1 downto 0 do
-          mont_sqr_raw ~k ~mm ~n0' ~t result result;
-          if test_bit exp i then mont_mul_raw ~k ~mm ~n0' ~t result bm result
+          mont_sqr_raw ~mt ~canon ctx ~t result result;
+          if test_bit exp i then mont_mul_raw ~mt ~canon ctx ~t result bm result
         done;
         result
       end
       else begin
-        (* Fixed 4-bit windows; limb_bits is a multiple of 4, so a window
-           never straddles limbs.  Long exponents are the secret ones (RSA
+        (* Fixed 4-bit windows.  Long exponents are the secret ones (RSA
            dp/dq, DH private), so the schedule must not depend on their bit
            pattern: the exponent is padded to the modulus width and every
            window pays one gathered table multiply — a zero window
@@ -762,30 +790,19 @@ module Mont = struct
            sample.  The top window seeds the accumulator directly instead
            of squaring the Montgomery one four times — same fixed schedule,
            4 squarings and 1 multiply cheaper per exponentiation. *)
-        let table = Array.make 16 one_m in
-        table.(1) <- bm;
-        for j = 2 to 15 do
-          let e = Array.make k 0 in
-          mont_mul_raw ~k ~mm ~n0' ~t table.(j - 1) bm e;
-          table.(j) <- e
-        done;
+        let table = powers ~mt ~canon ctx ~t bm in
         let elimbs = max k (Array.length exp.mag) in
-        let emag = Array.make elimbs 0 in
-        Array.blit exp.mag 0 emag 0 (Array.length exp.mag);
-        let nibble i =
-          let bitpos = 4 * i in
-          (emag.(bitpos / limb_bits) lsr (bitpos mod limb_bits)) land 0xf
-        in
+        let nibble = windows ~elimbs exp in
         let nwin = elimbs * limb_bits / 4 in
         let g = Array.make k 0 in
         let result = Array.make k 0 in
-        ct_gather ~k table (nibble (nwin - 1)) result;
+        ct_gather ~mt ~k table (nibble (nwin - 1)) result;
         for w = nwin - 2 downto 0 do
           for _ = 1 to 4 do
-            mont_sqr_raw ~k ~mm ~n0' ~t result result
+            mont_sqr_raw ~mt ~canon ctx ~t result result
           done;
-          ct_gather ~k table (nibble w) g;
-          mont_mul_raw ~k ~mm ~n0' ~t result g result
+          ct_gather ~mt ~k table (nibble w) g;
+          mont_mul_raw ~mt ~canon ctx ~t result g result
         done;
         result
       end
@@ -800,61 +817,124 @@ module Mont = struct
             v := !v lsr 1
           done)
         exp.mag;
-      let wc = word_muls_ () in
-      wc := !wc + !pc;
-      let tc = ct_traffic_ () in
-      tc := !tc + !pc
+      mt.word_muls <- mt.word_muls + !pc;
+      mt.limb_traffic <- mt.limb_traffic + !pc
     end;
-    (* leave the Montgomery domain: REDC of the k-limb result *)
-    let w = Array.make ((2 * k) + 1) 0 in
-    Array.blit result 0 w 0 k;
-    let out = Array.make k 0 in
-    mont_redc_raw ~k ~mm ~n0' w out;
-    out
+    redc_raw ~mt ctx result
 
   let pow ctx ~base:b ~exp =
     if exp.sign < 0 then invalid_arg "Bn.Mont.pow: negative exponent";
     if b.sign < 0 || cmp_mag b.mag ctx.m.mag >= 0 then
       invalid_arg "Bn.Mont.pow: base out of range";
-    normalize 1 (pow_raw ctx ~braw:(raw_of ~k:ctx.k b) ~exp)
+    normalize 1 (pow_raw ~mt:(meter ()) ctx ~braw:(raw_of ~k:ctx.k b) ~exp)
+
+  (* Fixed-base comb for a base g that stays put per modulus (the DH
+     generator): table.(w).(j) = g^(j * 16^w) in the Montgomery domain,
+     for each of the 6k 4-bit windows w of a k-limb exponent, so that
+     g^x = prod_w table.(w).(x_w).  Built once per (modulus, base): 6k
+     rows of 14 multiplies, 4 squarings between rows. *)
+  let comb_table ctx ~base:g =
+    let mt = meter () in
+    let canon = not ctx.lazy_ok in
+    let k = ctx.k in
+    let t = Array.make k 0 in
+    let gw = ref (Array.make k 0) in
+    mont_mul_raw ~mt ~canon ctx ~t (raw_of ~k g) ctx.r2_raw !gw;
+    let nwin = k * limb_bits / 4 in
+    let table = Array.make nwin [||] in
+    for w = 0 to nwin - 1 do
+      if w > 0 then begin
+        (* g^(16^w) = (g^(16^(w-1)))^16; a fresh array, since the previous
+           row keeps its own as entry 1 *)
+        let next = Array.copy !gw in
+        for _ = 1 to 4 do
+          mont_sqr_raw ~mt ~canon ctx ~t next next
+        done;
+        gw := next
+      end;
+      table.(w) <- powers ~mt ~canon ctx ~t !gw
+    done;
+    table
+
+  (* g^exp mod m as k limbs from g's comb table, for an exponent of at
+     most k limbs: 6k gathers and 6k - 1 multiplies, no squarings.  The
+     schedule is fixed by k alone — every window is gathered and
+     multiplied in, a zero window as the Montgomery one. *)
+  let pow_comb ctx table ~exp =
+    let mt = meter () in
+    let canon = not ctx.lazy_ok in
+    let k = ctx.k in
+    let t = Array.make k 0 in
+    let nibble = windows ~elimbs:k exp in
+    let g = Array.make k 0 in
+    let result = Array.make k 0 in
+    ct_gather ~mt ~k table.(0) (nibble 0) result;
+    for w = 1 to Array.length table - 1 do
+      ct_gather ~mt ~k table.(w) (nibble w) g;
+      mont_mul_raw ~mt ~canon ctx ~t result g result
+    done;
+    redc_raw ~mt ctx result
 end
 
 (* Montgomery contexts are costly to build (R^2 mod m needs a wide
    division) while callers exponentiate against a handful of long-lived
    moduli (the DH prime, RSA n/p/q), so keep a tiny move-to-front cache.
-   Domain-local, like the word-mul counter: fleet shards running on
-   parallel domains must not share or race on it. *)
-let mont_cache_key : (t * Mont.ctx option) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+   Domain-local, like the cost counters: fleet shards running on parallel
+   domains must not share or race on it.  An entry also keeps the comb
+   table of the last base [mod_pow_fixed_base] used with its modulus. *)
+type mont_entry = {
+  modulus : t;
+  ctx : Mont.ctx option;
+  mutable comb : (t * int array array array) option;  (* base, its comb table *)
+}
+
+let mont_cache_key : mont_entry list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
 
 let mont_cache_max = 8
 
-let mont_ctx modulus =
+let mont_entry modulus =
   let mont_cache = Domain.DLS.get mont_cache_key in
-  match List.assoc_opt modulus !mont_cache with
-  | Some ctx ->
-    if not (equal (fst (List.hd !mont_cache)) modulus) then
-      mont_cache :=
-        (modulus, ctx) :: List.filter (fun (m, _) -> not (equal m modulus)) !mont_cache;
-    ctx
+  match List.find_opt (fun e -> equal e.modulus modulus) !mont_cache with
+  | Some e ->
+    if List.hd !mont_cache != e then mont_cache := e :: List.filter (fun e' -> e' != e) !mont_cache;
+    e
   | None ->
-    let ctx = Mont.create modulus in
-    let keep = List.filteri (fun i _ -> i < mont_cache_max - 1) !mont_cache in
-    mont_cache := (modulus, ctx) :: keep;
-    ctx
+    let e = { modulus; ctx = Mont.create modulus; comb = None } in
+    mont_cache := e :: List.filteri (fun i _ -> i < mont_cache_max - 1) !mont_cache;
+    e
 
 let mod_pow ~base:b ~exp ~modulus =
   if modulus.sign <= 0 then invalid_arg "Bn.mod_pow: modulus must be positive";
   if exp.sign < 0 then invalid_arg "Bn.mod_pow: negative exponent";
   if is_one modulus then zero
   else if is_odd modulus && Array.length modulus.mag > 1 then
-    match mont_ctx modulus with
+    match (mont_entry modulus).ctx with
     | Some ctx -> Mont.pow ctx ~base:(rem b modulus) ~exp
     | None -> mod_pow_const_shape ~base:b ~exp ~modulus
   else
     (* even or single-limb modulus: Montgomery reduction needs gcd(m, R)=1,
        so take the constant-shape ladder instead of the branchy plain path *)
     mod_pow_const_shape ~base:b ~exp ~modulus
+
+let mod_pow_fixed_base ~base:b ~exp ~modulus =
+  let entry =
+    if modulus.sign > 0 && exp.sign >= 0 && is_odd modulus && Array.length modulus.mag > 1 then
+      Some (mont_entry modulus)
+    else None
+  in
+  match entry with
+  | Some ({ ctx = Some ctx; _ } as e) when Array.length exp.mag <= ctx.Mont.k ->
+    let b = rem b modulus in
+    let table =
+      match e.comb with
+      | Some (g, table) when equal g b -> table
+      | _ ->
+        let table = Mont.comb_table ctx ~base:b in
+        e.comb <- Some (b, table);
+        table
+    in
+    normalize 1 (Mont.pow_comb ctx table ~exp)
+  | _ -> mod_pow ~base:b ~exp ~modulus
 
 (* ---- public constant-time fixed-width wrappers ---- *)
 
@@ -865,7 +945,7 @@ module Ct = struct
   let bn_sub = sub
   let bn_mul = mul
 
-  let limb_traffic () = !(ct_traffic_ ())
+  let limb_traffic () = (meter ()).limb_traffic
 
   (* operand as exactly [width] limbs; conversion between the normalized
      [t] representation and the fixed width happens only at this boundary *)
@@ -878,24 +958,24 @@ module Ct = struct
 
   let select ~width ~bit a b =
     let d = Array.make width 0 in
-    ct_select_raw ~k:width bit (raw ~width a) (raw ~width b) d;
+    ct_select_raw ~mt:(meter ()) ~k:width bit (raw ~width a) (raw ~width b) d;
     normalize 1 d
 
   let add ~width a b =
     let d = Array.make width 0 in
-    let carry = ct_add_raw ~k:width (raw ~width a) (raw ~width b) d in
+    let carry = ct_add_raw ~mt:(meter ()) ~k:width (raw ~width a) (raw ~width b) d in
     (normalize 1 d, carry)
 
   let sub ~width a b =
     let d = Array.make width 0 in
-    let borrow = ct_sub_raw ~k:width (raw ~width a) (raw ~width b) d in
+    let borrow = ct_sub_raw ~mt:(meter ()) ~k:width (raw ~width a) (raw ~width b) d in
     (normalize 1 d, borrow)
 
-  let ge ~width a b = ct_ge_raw ~k:width (raw ~width a) (raw ~width b) = 1
+  let ge ~width a b = ct_ge_raw ~mt:(meter ()) ~k:width (raw ~width a) (raw ~width b) = 1
 
   let mul ~width a b =
     let d = Array.make (2 * width) 0 in
-    ct_mul_raw ~ka:width ~kb:width (raw ~width a) (raw ~width b) d;
+    ct_mul_raw ~mt:(meter ()) ~ka:width ~kb:width (raw ~width a) (raw ~width b) d;
     normalize 1 d
 
   let check_mod ~m name =
@@ -903,32 +983,34 @@ module Ct = struct
 
   let mod_add ~m a b =
     check_mod ~m "Bn.Ct.mod_add";
+    let mt = meter () in
     let k = Array.length m.mag in
     let mr = raw ~width:k m in
     let ar = raw ~width:k a and br = raw ~width:k b in
-    if ct_ge_raw ~k ar mr = 1 || ct_ge_raw ~k br mr = 1 then
+    if ct_ge_raw ~mt ~k ar mr = 1 || ct_ge_raw ~mt ~k br mr = 1 then
       invalid_arg "Bn.Ct.mod_add: operand out of range";
     let s = Array.make k 0 in
-    let hi = ct_add_raw ~k ar br s in
+    let hi = ct_add_raw ~mt ~k ar br s in
     let sc = Array.make k 0 in
     let d = Array.make k 0 in
-    ct_reduce_once ~k ~mm:mr ~hi s 0 sc 0 d;
+    ct_reduce_once ~mt ~k ~mm:mr ~hi s 0 sc 0 d;
     normalize 1 d
 
   let mod_sub ~m a b =
     check_mod ~m "Bn.Ct.mod_sub";
+    let mt = meter () in
     let k = Array.length m.mag in
     let mr = raw ~width:k m in
     let ar = raw ~width:k a and br = raw ~width:k b in
-    if ct_ge_raw ~k ar mr = 1 || ct_ge_raw ~k br mr = 1 then
+    if ct_ge_raw ~mt ~k ar mr = 1 || ct_ge_raw ~mt ~k br mr = 1 then
       invalid_arg "Bn.Ct.mod_sub: operand out of range";
     let d = Array.make k 0 in
-    let borrow = ct_sub_raw ~k ar br d in
+    let borrow = ct_sub_raw ~mt ~k ar br d in
     let e = Array.make k 0 in
     (* d + m, carry discarded: exact mod base^k when a < b *)
-    ignore (ct_add_raw ~k d mr e : int);
+    ignore (ct_add_raw ~mt ~k d mr e : int);
     let r = Array.make k 0 in
-    ct_select_raw ~k borrow e d r;
+    ct_select_raw ~mt ~k borrow e d r;
     normalize 1 r
 
   (* CRT-context cache: (p, q) -> width-padded Montgomery contexts for
@@ -956,15 +1038,12 @@ module Ct = struct
   (* c mod m in constant shape for any 2k-limb c < m * base^k: one
      Montgomery reduction (c * R^-1 mod m) followed by a multiply with
      R^2 (and its implicit R^-1) lands back on c mod m. *)
-  let reduce_mod (ctx : Mont.ctx) craw =
+  let reduce_mod ~mt (ctx : Mont.ctx) craw =
     let k = ctx.Mont.k in
-    let w = Array.make ((2 * k) + 1) 0 in
-    Array.blit craw 0 w 0 (min (Array.length craw) (2 * k));
-    let u = Array.make k 0 in
-    Mont.mont_redc_raw ~k ~mm:ctx.Mont.mm ~n0':ctx.Mont.n0' w u;
+    let u = Mont.redc_raw ~mt ctx craw in
     let t = Array.make k 0 in
     let d = Array.make k 0 in
-    Mont.mont_mul_raw ~k ~mm:ctx.Mont.mm ~n0':ctx.Mont.n0' ~t u ctx.Mont.r2_raw d;
+    Mont.mont_mul_raw ~mt ~canon:true ctx ~t u ctx.Mont.r2_raw d;
     d
 
   (* variable-time route, kept only for degenerate moduli the Montgomery
@@ -989,41 +1068,39 @@ module Ct = struct
         (* constant shape end to end: every intermediate is a fixed-width
            limb vector — the halves at kh = max(limbs p, limbs q), the
            recombination at 2*kh — regardless of the values involved *)
+        let mt = meter () in
         let craw = Array.make (2 * kh) 0 in
         Array.blit c.mag 0 craw 0 (Array.length c.mag);
-        let bp = reduce_mod cp craw in
-        let bq = reduce_mod cq craw in
-        let m1 = Mont.pow_raw cp ~braw:bp ~exp:dp in
-        let m2 = Mont.pow_raw cq ~braw:bq ~exp:dq in
+        let bp = reduce_mod ~mt cp craw in
+        let bq = reduce_mod ~mt cq craw in
+        let m1 = Mont.pow_raw ~mt cp ~braw:bp ~exp:dp in
+        let m2 = Mont.pow_raw ~mt cq ~braw:bq ~exp:dq in
         (* h = qinv * (m1 - m2) mod p, entirely inside p's Montgomery
            domain; m2 may exceed p, which to_mont absorbs (any value
            below base^kh reduces mod p through the REDC multiply) *)
-        let mmp = cp.Mont.mm and n0p = cp.Mont.n0' in
+        let mmp = cp.Mont.mm in
         let t = Array.make kh 0 in
         let am1 = Array.make kh 0 and am2 = Array.make kh 0 in
-        Mont.mont_mul_raw ~k:kh ~mm:mmp ~n0':n0p ~t m1 cp.Mont.r2_raw am1;
-        Mont.mont_mul_raw ~k:kh ~mm:mmp ~n0':n0p ~t m2 cp.Mont.r2_raw am2;
+        Mont.mont_mul_raw ~mt ~canon:true cp ~t m1 cp.Mont.r2_raw am1;
+        Mont.mont_mul_raw ~mt ~canon:true cp ~t m2 cp.Mont.r2_raw am2;
         let d = Array.make kh 0 in
-        let borrow = ct_sub_raw ~k:kh am1 am2 d in
+        let borrow = ct_sub_raw ~mt ~k:kh am1 am2 d in
         let e = Array.make kh 0 in
-        ignore (ct_add_raw ~k:kh d mmp e : int);
+        ignore (ct_add_raw ~mt ~k:kh d mmp e : int);
         let dm = Array.make kh 0 in
-        ct_select_raw ~k:kh borrow e d dm;
+        ct_select_raw ~mt ~k:kh borrow e d dm;
         let qm = Array.make kh 0 in
-        Mont.mont_mul_raw ~k:kh ~mm:mmp ~n0':n0p ~t (raw ~width:kh qinv) cp.Mont.r2_raw qm;
+        Mont.mont_mul_raw ~mt ~canon:true cp ~t (raw ~width:kh qinv) cp.Mont.r2_raw qm;
         let hm = Array.make kh 0 in
-        Mont.mont_mul_raw ~k:kh ~mm:mmp ~n0':n0p ~t dm qm hm;
-        let w = Array.make ((2 * kh) + 1) 0 in
-        Array.blit hm 0 w 0 kh;
-        let h = Array.make kh 0 in
-        Mont.mont_redc_raw ~k:kh ~mm:mmp ~n0':n0p w h;
+        Mont.mont_mul_raw ~mt ~canon:true cp ~t dm qm hm;
+        let h = Mont.redc_raw ~mt cp hm in
         (* recombine at twice the half width: result = m2 + h*q < p*q *)
         let hq = Array.make (2 * kh) 0 in
-        ct_mul_raw ~ka:kh ~kb:kh h (raw ~width:kh q) hq;
+        ct_mul_raw ~mt ~ka:kh ~kb:kh h (raw ~width:kh q) hq;
         let m2w = Array.make (2 * kh) 0 in
         Array.blit m2 0 m2w 0 kh;
         let res = Array.make (2 * kh) 0 in
-        ignore (ct_add_raw ~k:(2 * kh) hq m2w res : int);
+        ignore (ct_add_raw ~mt ~k:(2 * kh) hq m2w res : int);
         (normalize 1 res, normalize 1 m1, normalize 1 m2, normalize 1 h)
       end
 end

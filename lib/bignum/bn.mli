@@ -96,6 +96,16 @@ val mod_pow : base:t -> exp:t -> modulus:t -> t
     primes); the even-modulus tests pin both the routing and the
     fallback's correctness. *)
 
+val mod_pow_fixed_base : base:t -> exp:t -> modulus:t -> t
+(** Equal to [mod_pow], for a base that stays fixed per modulus (a
+    Diffie–Hellman generator).  On the Montgomery route it precomputes a
+    fixed-base comb table — [g^(j * 16^w)] for every 4-bit window [w] of
+    a modulus-width exponent — kept with the modulus' cached context for
+    the last base seen, and then computes [g^x] with one gathered
+    multiply per window and no squarings.  The schedule depends only on
+    the modulus' limb count.  Exponents wider than the modulus and
+    moduli outside Montgomery's domain take [mod_pow]. *)
+
 (** Montgomery arithmetic (REDC), exposed for callers that reuse a context
     across many exponentiations — the real-world behaviour behind the
     [RSA_FLAG_CACHE_PRIVATE] copies the paper tracks. *)

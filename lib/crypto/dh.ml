@@ -44,7 +44,8 @@ type keypair = { secret : Bn.t; public : Bn.t }
 
 let generate_keypair rng params =
   let secret = Bn.add (Bn.random_below rng (Bn.sub params.p (Bn.of_int 3))) Bn.two in
-  { secret; public = Bn.mod_pow ~base:params.g ~exp:secret ~modulus:params.p }
+  (* g is fixed per group: its comb table makes g^x a multiply per window *)
+  { secret; public = Bn.mod_pow_fixed_base ~base:params.g ~exp:secret ~modulus:params.p }
 
 let shared_secret params ~secret ~peer_public =
   if Bn.compare peer_public Bn.two < 0

@@ -224,17 +224,18 @@ let resolve_for_read t (p : Proc.t) ~vpn =
   | Some (Proc.Present pr) -> pr
   | Some (Proc.Swapped slot) -> swap_in t p ~vpn ~slot
 
-(* does any Present PTE of a live process still pin this frame? *)
-let frame_has_locked_pte t pfn =
-  List.exists
-    (fun (p : Proc.t) ->
-      List.exists
-        (fun vpn ->
-          match Proc.find_pte p ~vpn with
-          | Some (Proc.Present q) -> q.Proc.pfn = pfn && q.Proc.locked
-          | _ -> false)
-        (Proc.mapped_vpns p))
-    (live_procs t)
+(* a locked Present PTE of a live process starts ([delta] = 1) or stops
+   ([delta] = -1) mapping [pfn].  [Page.locked] follows the count, and a
+   flip re-classifies the frame: when the last lock goes, an unrelated
+   owner's frame must not stay pinned. *)
+let add_locked_pte t pfn delta =
+  let page = Phys_mem.page t.mem pfn in
+  page.Page.locked_ptes <- page.Page.locked_ptes + delta;
+  let locked = page.Page.locked_ptes > 0 in
+  if locked <> page.Page.locked then begin
+    page.Page.locked <- locked;
+    Phys_mem.touch_class t.mem pfn
+  end
 
 let cow_break t ~pid (pr : Proc.present) =
   Obs.Trace.causal t.obs ~pid "kernel.cow_break" @@ fun () ->
@@ -257,17 +258,13 @@ let cow_break t ~pid (pr : Proc.present) =
     let np = Phys_mem.page t.mem new_pfn in
     np.Page.owner <- Page.Anon;
     np.Page.refcount <- 1;
+    np.Page.locked_ptes <- (if pr.Proc.locked then 1 else 0);
     np.Page.locked <- pr.Proc.locked;
     Phys_mem.touch_class t.mem new_pfn;
     pr.Proc.pfn <- new_pfn;
     (* the departing writer may have been the only locked mapping of the
-       source frame: recompute so an unrelated owner's frame is not left
-       pinned forever *)
-    if pr.Proc.locked then begin
-      let was = page.Page.locked in
-      page.Page.locked <- frame_has_locked_pte t src_pfn;
-      if page.Page.locked <> was then Phys_mem.touch_class t.mem src_pfn
-    end
+       source frame *)
+    if pr.Proc.locked then add_locked_pte t src_pfn (-1)
   end;
   pr.Proc.cow <- false
 
@@ -441,11 +438,10 @@ let mlock t (p : Proc.t) ~addr ~len =
   let first = addr / ps and last = (addr + len - 1) / ps in
   for vpn = first to last do
     let pr = resolve_for_read t p ~vpn in
-    pr.Proc.locked <- true;
-    let page = Phys_mem.page t.mem pr.Proc.pfn in
-    if not page.Page.locked then begin
-      page.Page.locked <- true;
-      Phys_mem.touch_class t.mem pr.Proc.pfn
+    (* an already-locked PTE counts once *)
+    if not pr.Proc.locked then begin
+      pr.Proc.locked <- true;
+      add_locked_pte t pr.Proc.pfn 1
     end
   done
 
@@ -487,6 +483,7 @@ let fork t (parent : Proc.t) =
          pr.Proc.cow <- true;
          let page = Phys_mem.page t.mem pr.Proc.pfn in
          page.Page.refcount <- page.Page.refcount + 1;
+         if pr.Proc.locked then add_locked_pte t pr.Proc.pfn 1;
          Hashtbl.replace child.Proc.page_table vpn
            (Proc.Present { pfn = pr.Proc.pfn; cow = true; locked = pr.Proc.locked }))
        (Proc.mapped_vpns parent)
@@ -498,7 +495,8 @@ let fork t (parent : Proc.t) =
          match pte with
          | Proc.Present pr ->
            let page = Phys_mem.page t.mem pr.Proc.pfn in
-           page.Page.refcount <- page.Page.refcount - 1
+           page.Page.refcount <- page.Page.refcount - 1;
+           if pr.Proc.locked then add_locked_pte t pr.Proc.pfn (-1)
          | Proc.Swapped _ -> ())
        child.Proc.page_table;
      Hashtbl.reset child.Proc.page_table;
@@ -507,7 +505,6 @@ let fork t (parent : Proc.t) =
   child
 
 let exit t (p : Proc.t) =
-  (* deregister first so the lock recomputation below only sees survivors *)
   Hashtbl.remove t.procs p.Proc.pid;
   List.iter
     (fun vpn ->
@@ -516,15 +513,13 @@ let exit t (p : Proc.t) =
         let page = Phys_mem.page t.mem pr.Proc.pfn in
         page.Page.refcount <- page.Page.refcount - 1;
         if page.Page.refcount = 0 then
-          (* frame content survives into the free lists unless zero_on_free *)
+          (* frame content survives into the free lists unless zero_on_free;
+             freeing clears its lock count with the last mapping *)
           Buddy.free_page t.buddy pr.Proc.pfn
-        else if pr.Proc.locked then begin
+        else if pr.Proc.locked then
           (* the exiting process may have held the only lock on a frame it
-             shared: recompute instead of leaving the frame pinned *)
-          let was = page.Page.locked in
-          page.Page.locked <- frame_has_locked_pte t pr.Proc.pfn;
-          if page.Page.locked <> was then Phys_mem.touch_class t.mem pr.Proc.pfn
-        end
+             shared *)
+          add_locked_pte t pr.Proc.pfn (-1)
       | Some (Proc.Swapped slot) ->
         (* slot released; its content persists on the swap device *)
         (match t.swap with Some sw -> Swap.release sw slot | None -> ())
@@ -664,18 +659,26 @@ let check_invariants t =
   | Ok () ->
     let n = Phys_mem.num_pages t.mem in
     let refs = Array.make n 0 in
+    let locks = Array.make n 0 in
     List.iter
       (fun (p : Proc.t) ->
         List.iter
           (fun vpn ->
             match Proc.find_pte p ~vpn with
-            | Some (Proc.Present pr) -> refs.(pr.Proc.pfn) <- refs.(pr.Proc.pfn) + 1
+            | Some (Proc.Present pr) ->
+              refs.(pr.Proc.pfn) <- refs.(pr.Proc.pfn) + 1;
+              if pr.Proc.locked then locks.(pr.Proc.pfn) <- locks.(pr.Proc.pfn) + 1
             | _ -> ())
           (Proc.mapped_vpns p))
       (live_procs t);
     let error = ref None in
     for pfn = 0 to n - 1 do
       let page = Phys_mem.page t.mem pfn in
+      if page.Page.locked_ptes <> locks.(pfn) then
+        error :=
+          Some
+            (Printf.sprintf "frame %d counts %d locked ptes but %d map it" pfn
+               page.Page.locked_ptes locks.(pfn));
       (match page.Page.owner with
        | Page.Anon ->
          if page.Page.refcount <> refs.(pfn) then

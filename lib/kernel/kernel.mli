@@ -196,4 +196,5 @@ val locked_frames : t -> int
 
 val check_invariants : t -> (unit, string) result
 (** For tests: frame refcounts equal the number of PTEs referencing each
-    frame; buddy invariants hold; no PTE points at a free frame. *)
+    frame, and each frame's [Page.locked_ptes] the number of locked ones;
+    buddy invariants hold; no PTE points at a free frame. *)

@@ -101,8 +101,7 @@ let scan_swap k ~patterns =
 let confined k (h : hit) =
   let page = Phys_mem.page (Kernel.mem k) h.pfn in
   match page.Page.owner with
-  | Page.Anon ->
-    page.Page.locked && Kernel.frame_owners k ~pfn:h.pfn <> []
+  | Page.Anon -> page.Page.locked_ptes > 0
   | Page.Free | Page.Page_cache _ | Page.Kernel -> false
 
 let key_patterns ?pem priv =

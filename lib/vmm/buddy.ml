@@ -133,6 +133,7 @@ let free t ~pfn ~order =
     let p = Phys_mem.page t.mem i in
     p.Page.owner <- Page.Free;
     p.Page.refcount <- 0;
+    p.Page.locked_ptes <- 0;
     p.Page.locked <- false;
     Phys_mem.touch_class t.mem i;
     (* the paper's kernel patch: clear_highpage before entering free lists *)

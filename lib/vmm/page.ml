@@ -4,9 +4,14 @@ type owner =
   | Page_cache of { ino : int; index : int }
   | Kernel
 
-type t = { mutable owner : owner; mutable refcount : int; mutable locked : bool }
+type t = {
+  mutable owner : owner;
+  mutable refcount : int;
+  mutable locked_ptes : int;
+  mutable locked : bool;
+}
 
-let make_free () = { owner = Free; refcount = 0; locked = false }
+let make_free () = { owner = Free; refcount = 0; locked_ptes = 0; locked = false }
 
 let is_free t = t.owner = Free
 

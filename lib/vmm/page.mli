@@ -16,7 +16,12 @@ type t = {
   mutable refcount : int;
       (** number of page-table mappings for [Anon] frames (COW sharing);
           1 for other live frames; 0 when free *)
-  mutable locked : bool;  (** covered by an [mlock]ed VMA: never swapped *)
+  mutable locked_ptes : int;
+      (** number of live [Present] PTEs with the mlock bit that map this
+          frame; kept by the kernel at fork, mlock, COW break and exit *)
+  mutable locked : bool;
+      (** covered by an [mlock]ed VMA: never swapped.  The kernel keeps it
+          equal to [locked_ptes > 0]. *)
 }
 
 val make_free : unit -> t

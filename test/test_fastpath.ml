@@ -660,6 +660,206 @@ let test_null_timeline_linear () =
     Alcotest.failf "Obs.null timeline: %.0f minor words at K=16, %.0f at K=32 — ratio %.2f > 2.3"
       a b ratio
 
+(* ---- subtraction-free windows and the fixed-base comb ----
+
+   When 4m < R (top limb below 2^22) the exponentiation kernels skip their
+   conditional subtraction; otherwise they keep it.  Either way results and
+   per-call counter deltas must equal the CIOS reference, which always
+   subtracts. *)
+
+(* an odd modulus of exactly [limbs] limbs whose top limb is [top] *)
+let odd_modulus_with_top rng ~limbs ~top =
+  let low = Bn.random_bits rng (24 * (limbs - 1)) in
+  let m = Bn.add (Bn.shift_left (Bn.of_int top) (24 * (limbs - 1))) low in
+  if Bn.is_even m then Bn.add m Bn.one else m
+
+(* both sides of the 4m < R boundary, and the widest top limb *)
+let boundary_tops = [ (1 lsl 22) - 1; 1 lsl 22; (1 lsl 24) - 1 ]
+
+let pick_top rng which =
+  if which < List.length boundary_tops then List.nth boundary_tops which
+  else 2 + Prng.int rng ((1 lsl 24) - 2)
+
+let prop_schedules_differential =
+  QCheck.Test.make ~name:"Mont.pow/mod_pow on both schedules match the CIOS reference" ~count:40
+    QCheck.(triple (int_range 2 45) (int_range 0 3) small_nat)
+    (fun (limbs, which, seed) ->
+      let rng = Prng.of_int ((seed * 7919) + (limbs * 4) + which) in
+      let m = odd_modulus_with_top rng ~limbs ~top:(pick_top rng which) in
+      let ctx = Option.get (Bn.Mont.create m) in
+      let rctx = Ref_mont.create m in
+      let operand () =
+        if Prng.bool rng then Bn.sub m (Bn.of_int (1 + Prng.int rng 3)) else Bn.random_below rng m
+      in
+      let a = operand () and b = operand () in
+      let all_ones = Bn.sub (Bn.shift_left Bn.one (24 * limbs)) Bn.one in
+      List.for_all
+        (fun exp ->
+          with_lib_counters (fun () -> Bn.Mont.pow ctx ~base:a ~exp)
+          = with_ref_counters (fun () -> Ref_mont.pow rctx ~base:a ~exp)
+          && with_lib_counters (fun () -> Bn.mod_pow ~base:b ~exp ~modulus:m)
+             = with_ref_counters (fun () -> Ref_mont.mod_pow ~base:b ~exp ~modulus:m))
+        [ random_below_bits rng (1 + Prng.int rng 48);
+          random_below_bits rng (49 + Prng.int rng (24 * limbs));
+          all_ones
+        ])
+
+let prop_crt_schedules_differential =
+  QCheck.Test.make ~name:"Ct.crt_exp on both schedules matches the CIOS reference" ~count:30
+    QCheck.(
+      pair (pair (int_range 1 22) (int_range 1 22))
+        (triple (int_range 0 3) (int_range 0 3) small_nat))
+    (fun ((lp, lq), (wp, wq, seed)) ->
+      let rng = Prng.of_int ((seed * 1009) + (lp * 97) + (lq * 13) + (wp * 4) + wq) in
+      let p = odd_modulus_with_top rng ~limbs:lp ~top:(pick_top rng wp) in
+      let q = odd_modulus_with_top rng ~limbs:lq ~top:(pick_top rng wq) in
+      let n = Bn.mul p q in
+      let c = if Prng.bool rng then Bn.sub n Bn.one else Bn.random_below rng n in
+      let dp = random_below_bits rng (Bn.bit_length p) in
+      let dq = random_below_bits rng (Bn.bit_length q) in
+      let qinv = Bn.random_below rng p in
+      with_lib_counters (fun () -> Bn.Ct.crt_exp ~p ~q ~dp ~dq ~qinv c)
+      = with_ref_counters (fun () -> Ref_mont.crt_exp ~p ~q ~dp ~dq ~qinv c))
+
+let prop_comb_differential =
+  QCheck.Test.make ~name:"fixed-base comb equals mod_pow at a schedule fixed by the width"
+    ~count:40
+    QCheck.(pair (int_range 0 24) small_nat)
+    (fun (sel, seed) ->
+      let rng = Prng.of_int ((seed * 389) + sel) in
+      let m, g =
+        match sel with
+        | 0 -> (Dh.group_small.Dh.p, Dh.group_small.Dh.g)
+        | 1 -> (Dh.group_medium.Dh.p, Dh.group_medium.Dh.g)
+        | limbs ->
+          let m = random_odd_modulus rng limbs in
+          (m, Bn.random_below rng m)
+      in
+      let k = Bn.num_limbs m in
+      let in_width =
+        [ Bn.zero; Bn.one; Bn.random_below rng m; Bn.sub m Bn.one;
+          Bn.sub (Bn.shift_left Bn.one (24 * k)) Bn.one ]
+      in
+      (* wider than the modulus: the windowed fallback *)
+      let wider =
+        Bn.add (Bn.shift_left Bn.one ((24 * k) + Prng.int rng 48)) (Bn.random_bits rng (24 * k))
+      in
+      let agrees ~base exp =
+        Bn.mod_pow_fixed_base ~base ~exp ~modulus:m = Bn.mod_pow ~base ~exp ~modulus:m
+      in
+      (* a second base for the same modulus replaces the cached table, and
+         a base above m reduces to the first *)
+      let h = Bn.random_below rng m in
+      List.for_all (agrees ~base:g) (wider :: in_width)
+      && List.for_all (agrees ~base:h) in_width
+      && List.for_all (agrees ~base:(Bn.add g m)) in_width
+      && (* an even modulus takes mod_pow's ladder *)
+      Bn.mod_pow_fixed_base ~base:g ~exp:wider ~modulus:(Bn.add m Bn.one)
+      = Bn.mod_pow ~base:g ~exp:wider ~modulus:(Bn.add m Bn.one)
+      &&
+      (* with g's table cached (g + m reduced to g), every in-width
+         exponent costs the same counter deltas *)
+      let deltas =
+        List.map
+          (fun exp ->
+            snd (with_lib_counters (fun () -> Bn.mod_pow_fixed_base ~base:g ~exp ~modulus:m)))
+          in_width
+      in
+      List.for_all (( = ) (List.hd deltas)) deltas)
+
+(* keypairs drawn from seeded generators, as before the comb *)
+let test_dh_keygen_pinned () =
+  List.iter
+    (fun (grp, seed, secret, public) ->
+      let kp = Dh.generate_keypair (Prng.of_int seed) grp in
+      Alcotest.(check (pair string string))
+        (Printf.sprintf "keypair seed %d" seed) (secret, public)
+        (Bn.to_hex kp.Dh.secret, Bn.to_hex kp.Dh.public))
+    [ (Dh.group_small, 1, "13dd771dd0d72345c63779eec3267b1d", "985ddc6129de775cbe02460d63f0a703");
+      (Dh.group_small, 2, "2cf111adfca09e1eef2ff21184d60d79", "6dd257b8a579864a15bbed196d58a6bd");
+      (Dh.group_small, 3, "63b32d84ddaa6c6d9138e0c348a63ad2", "654bd20956c3174790c0404daf1ec664");
+      ( Dh.group_medium, 1,
+        "771dd0d72345c63779eec3267b1bd342ff6ed5367061a424e8bbbae368428b7d",
+        "4ed471a1a4d2009d8c5728521a1714f6ad2481b6afb05c13911c9842dccf8bbc" );
+      ( Dh.group_medium, 2,
+        "112691428c051e2f4d34eb7c93de2f0f2cf111adfca09e1eef2ff21184d60d79",
+        "5e1330d466ba49bc252d875d3399dc76eb34c86c637cbc025a5a54f7a9706e3f" );
+      ( Dh.group_medium, 3,
+        "2d84ddaa6c6d9138e0c348a63ad0b7ddcdda236ba9d93e3afa29d19be242c53b",
+        "27138650038ffbb5b6a95c145219e5a9266d45d4bbc5a11a827f63e42b76267d" )
+    ]
+
+(* ---- Integrated's locked-PTE bookkeeping ---- *)
+
+let integrated_timeline_words conns =
+  let rng = Prng.derive (Prng.of_int 1) ~tag:0 in
+  let w0 = Gc.minor_words () in
+  let sys =
+    Memguard.System.create ~num_pages:8192 ~level:Memguard.Protection.Integrated ~rng
+      ~obs:Obs.null ()
+  in
+  ignore (Memguard.Timeline.run ~churn:3 ~low:conns ~high:(2 * conns) sys Memguard.Timeline.Ssh);
+  Gc.minor_words () -. w0
+
+(* an Integrated ssh shard at twice the connections may allocate at most
+   2.3x the words: walking every live page table on each locked COW break
+   and locked unmap grew it 2.52x from 64/128 to 128/256 *)
+let test_integrated_timeline_linear () =
+  let a = integrated_timeline_words 64 and b = integrated_timeline_words 128 in
+  let ratio = b /. a in
+  if ratio > 2.3 then
+    Alcotest.failf
+      "Obs.null Integrated timeline: %.0f minor words at 64/128, %.0f at 128/256 (ratio %.2f > 2.3)"
+      a b ratio
+
+(* the per-frame locked-PTE count equals a recount after random fork /
+   mlock / COW-write / exit sequences *)
+let prop_locked_pte_count =
+  QCheck.Test.make ~name:"per-frame locked-PTE counts equal a recount" ~count:150
+    QCheck.(list_of_size Gen.(int_range 1 40) (pair (int_range 0 5) small_nat))
+    (fun ops ->
+      let k =
+        Kernel.create ~config:{ Kernel.default_config with num_pages = 64; swap_slots = 128 } ()
+      in
+      let procs = ref [] in
+      let pick i = List.nth !procs (i mod List.length !procs) in
+      List.iter
+        (fun (op, arg) ->
+          try
+            match op with
+            | 0 ->
+              let p = Kernel.spawn k ~name:"p" in
+              let a = Kernel.malloc k p (4096 * (1 + (arg mod 3))) in
+              Kernel.write_mem k p ~addr:a (String.make 64 'k');
+              procs := !procs @ [ (p, a) ]
+            | 1 when !procs <> [] ->
+              let p, a = pick arg in
+              procs := !procs @ [ (Kernel.fork k p, a) ]
+            | 2 when !procs <> [] ->
+              let p, _ = pick arg in
+              Kernel.exit k p;
+              procs := List.filter (fun (q, _) -> q != p) !procs
+            | 3 when !procs <> [] ->
+              let p, a = pick arg in
+              Kernel.write_mem k p ~addr:a (String.make 8 'w')
+            | 4 when !procs <> [] ->
+              (* locking twice must count the PTE once *)
+              let p, a = pick arg in
+              Kernel.mlock k p ~addr:a ~len:4096
+            | 5 when !procs <> [] ->
+              let p, _ = pick arg in
+              let a = Kernel.malloc k p (4096 * (8 + (arg mod 16))) in
+              Kernel.write_mem k p ~addr:a (String.make 4096 'x')
+            | _ -> ()
+          with Kernel.Out_of_memory -> ())
+        ops;
+      Kernel.check_invariants k = Ok ()
+      && List.for_all
+           (fun pfn ->
+             let page = Phys_mem.page (Kernel.mem k) pfn in
+             page.Memguard_vmm.Page.locked = (page.Memguard_vmm.Page.locked_ptes > 0))
+           (List.init (Phys_mem.num_pages (Kernel.mem k)) Fun.id))
+
 let suite =
   [ ( "fast-path",
       [ QCheck_alcotest.to_alcotest prop_mont_differential;
@@ -669,6 +869,13 @@ let suite =
         QCheck_alcotest.to_alcotest prop_aes_differential;
         QCheck_alcotest.to_alcotest prop_owner_table;
         Alcotest.test_case "Obs.null timeline linear in connections" `Quick
-          test_null_timeline_linear
+          test_null_timeline_linear;
+        QCheck_alcotest.to_alcotest prop_schedules_differential;
+        QCheck_alcotest.to_alcotest prop_crt_schedules_differential;
+        QCheck_alcotest.to_alcotest prop_comb_differential;
+        Alcotest.test_case "seeded DH keypairs unchanged" `Quick test_dh_keygen_pinned;
+        QCheck_alcotest.to_alcotest prop_locked_pte_count;
+        Alcotest.test_case "Obs.null Integrated timeline linear in connections" `Quick
+          test_integrated_timeline_linear
       ] )
   ]
